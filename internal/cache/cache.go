@@ -10,6 +10,8 @@
 // event *counts*, not on detailed memory-system timing.
 package cache
 
+import "sync"
+
 // Level identifies a cache level for miss reporting.
 type Level uint8
 
@@ -61,6 +63,32 @@ const (
 	chunkSetBits = 6
 	chunkSets    = 1 << chunkSetBits
 )
+
+// freeChunks recycles tag chunks across hierarchies: one process-wide
+// LIFO per chunk length, filled by FlushAll and Release and drained by
+// first touches. A chunk is zeroed when taken, and zero tags mean
+// invalid, so a recycled chunk is indistinguishable from a fresh one.
+// The lists never shrink: they keep the most chunks ever free at once.
+var freeChunks = struct {
+	mu    sync.Mutex
+	byLen map[int][][]uint64
+}{byLen: make(map[int][][]uint64)}
+
+// takeChunk returns a zeroed chunk of n tags, recycled when one is free.
+func takeChunk(n int) []uint64 {
+	freeChunks.mu.Lock()
+	l := freeChunks.byLen[n]
+	if k := len(l) - 1; k >= 0 {
+		ch := l[k]
+		l[k] = nil
+		freeChunks.byLen[n] = l[:k]
+		freeChunks.mu.Unlock()
+		clear(ch)
+		return ch
+	}
+	freeChunks.mu.Unlock()
+	return make([]uint64, n)
+}
 
 // cacheLevel is a single set-associative cache. Tag state lives in
 // flat per-chunk arrays: set s occupies the ways
@@ -117,7 +145,7 @@ func log2(v uint64) uint {
 func (c *cacheLevel) setWays(si uint64) []uint64 {
 	ch := c.chunks[si>>chunkSetBits]
 	if ch == nil {
-		ch = make([]uint64, c.chunkLen)
+		ch = takeChunk(c.chunkLen)
 		c.chunks[si>>chunkSetBits] = ch
 	}
 	lo := (int(si) & (chunkSets - 1)) * c.ways
@@ -146,6 +174,21 @@ func (c *cacheLevel) access(addr uint64) bool {
 	copy(ws[1:], ws[:len(ws)-1])
 	ws[0] = tag
 	return false
+}
+
+// recycle hands every materialized chunk to the free list and leaves
+// its slot nil, so the level reads as freshly built.
+func (c *cacheLevel) recycle() {
+	freeChunks.mu.Lock()
+	l := freeChunks.byLen[c.chunkLen]
+	for i, ch := range c.chunks {
+		if ch != nil {
+			l = append(l, ch)
+			c.chunks[i] = nil
+		}
+	}
+	freeChunks.byLen[c.chunkLen] = l
+	freeChunks.mu.Unlock()
 }
 
 // flushLine invalidates the line containing addr if present.
@@ -255,12 +298,26 @@ func (h *Hierarchy) FlushLine(addr uint64) {
 	h.llc.flushLine(addr)
 }
 
-// FlushAll invalidates the entire hierarchy.
+// FlushAll invalidates the entire hierarchy. Its chunks go back to the
+// free list rather than to the garbage collector: flush storms would
+// otherwise discard every chunk many times per run.
 func (h *Hierarchy) FlushAll() {
+	if h.l1.chunks == nil {
+		panic("cache: FlushAll on a released Hierarchy")
+	}
+	h.lastLine = 0
+	h.l1.recycle()
+	h.l2.recycle()
+	h.llc.recycle()
+}
+
+// Release returns every chunk to the free list for later hierarchies to
+// reuse. The hierarchy must not be used afterwards: its chunk tables
+// are dropped, so any later Access, FlushLine or FlushAll panics.
+func (h *Hierarchy) Release() {
 	h.lastLine = 0
 	for _, lv := range []*cacheLevel{h.l1, h.l2, h.llc} {
-		for i := range lv.chunks {
-			lv.chunks[i] = nil
-		}
+		lv.recycle()
+		lv.chunks = nil
 	}
 }

@@ -1,6 +1,11 @@
 package cache
 
-import "testing"
+import (
+	"fmt"
+	"math/rand/v2"
+	"sync"
+	"testing"
+)
 
 func TestColdMissThenHit(t *testing.T) {
 	h := NewDefault()
@@ -114,4 +119,237 @@ func TestNonPowerOfTwoSetsRoundsDown(t *testing.T) {
 	if !c.access(0) {
 		t.Error("second access must hit")
 	}
+}
+
+// refLevel models one cache level with storage that is never recycled:
+// each set is its own slice, allocated on first touch. Ways hold line+1
+// (zero = invalid) in LRU order, and a flushed way stays a hole in
+// place, as in cacheLevel.
+type refLevel struct {
+	lineBytes, nsets uint64
+	ways             int
+	hitLat           uint64
+	sets             map[uint64][]uint64
+}
+
+func newRefLevel(cfg Config) *refLevel {
+	return &refLevel{
+		lineBytes: uint64(cfg.LineBytes),
+		nsets:     uint64(cfg.SizeBytes / cfg.LineBytes / cfg.Ways),
+		ways:      cfg.Ways,
+		hitLat:    uint64(cfg.HitCycles),
+		sets:      make(map[uint64][]uint64),
+	}
+}
+
+func (r *refLevel) set(addr uint64) ([]uint64, uint64) {
+	line := addr / r.lineBytes
+	ws := r.sets[line%r.nsets]
+	if ws == nil {
+		ws = make([]uint64, r.ways)
+		r.sets[line%r.nsets] = ws
+	}
+	return ws, line + 1
+}
+
+func (r *refLevel) access(addr uint64) bool {
+	ws, key := r.set(addr)
+	for i, k := range ws {
+		if k == key {
+			copy(ws[1:i+1], ws[:i])
+			ws[0] = key
+			return true
+		}
+	}
+	copy(ws[1:], ws[:len(ws)-1])
+	ws[0] = key
+	return false
+}
+
+func (r *refLevel) flushLine(addr uint64) {
+	ws, key := r.set(addr)
+	for i, k := range ws {
+		if k == key {
+			ws[i] = 0
+			return
+		}
+	}
+}
+
+// refHierarchy is the fresh-memory oracle for Hierarchy. A second real
+// Hierarchy cannot play that part: its own FlushAll recycles chunks.
+type refHierarchy struct {
+	levels [3]*refLevel
+	mem    uint64
+}
+
+func newRefHierarchy(cfg HierarchyConfig) *refHierarchy {
+	return &refHierarchy{
+		levels: [3]*refLevel{newRefLevel(cfg.L1), newRefLevel(cfg.L2), newRefLevel(cfg.LLC)},
+		mem:    uint64(cfg.MemoryCycles),
+	}
+}
+
+func (r *refHierarchy) Access(addr uint64) Result {
+	var res Result
+	miss := [3]*bool{&res.MissL1, &res.MissL2, &res.MissLLC}
+	for i, lv := range r.levels {
+		if lv.access(addr) {
+			res.Cycles = lv.hitLat
+			return res
+		}
+		*miss[i] = true
+	}
+	res.Cycles = r.mem
+	return res
+}
+
+func (r *refHierarchy) FlushLine(addr uint64) {
+	for _, lv := range r.levels {
+		lv.flushLine(addr)
+	}
+}
+
+func (r *refHierarchy) FlushAll() {
+	for _, lv := range r.levels {
+		clear(lv.sets)
+	}
+}
+
+// smallConfig has few enough sets that random traffic evicts, hits at
+// every level and spans several LLC chunks.
+func smallConfig() HierarchyConfig {
+	return HierarchyConfig{
+		L1:           Config{SizeBytes: 1 << 10, LineBytes: 64, Ways: 2, HitCycles: 4},
+		L2:           Config{SizeBytes: 4 << 10, LineBytes: 64, Ways: 4, HitCycles: 12},
+		LLC:          Config{SizeBytes: 64 << 10, LineBytes: 64, Ways: 8, HitCycles: 40},
+		MemoryCycles: 200,
+	}
+}
+
+// replay drives h and ref with the same seeded Access/FlushLine/FlushAll
+// sequence and returns the first Result they disagree on as an error.
+func replay(h *Hierarchy, ref *refHierarchy, seed uint64, ops int, span uint64) error {
+	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+	var hot [32]uint64
+	for i := range hot {
+		hot[i] = rng.Uint64N(span)
+	}
+	for i := 0; i < ops; i++ {
+		addr := rng.Uint64N(span)
+		if rng.IntN(2) == 0 {
+			addr = hot[rng.IntN(len(hot))] + rng.Uint64N(4)*64
+		}
+		switch p := rng.IntN(1000); {
+		case p < 2:
+			h.FlushAll()
+			ref.FlushAll()
+		case p < 80:
+			h.FlushLine(addr)
+			ref.FlushLine(addr)
+		default:
+			if got, want := h.Access(addr), ref.Access(addr); got != want {
+				return fmt.Errorf("seed %d op %d: Access(%#x) = %+v, fresh model says %+v", seed, i, addr, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// dirty touches every set of every level with nonzero tags.
+func dirty(h *Hierarchy, span uint64) {
+	for addr := uint64(0); addr < span; addr += 64 {
+		h.Access(addr)
+	}
+}
+
+func chunkAddrs(h *Hierarchy) map[*uint64]bool {
+	out := make(map[*uint64]bool)
+	for _, lv := range []*cacheLevel{h.l1, h.l2, h.llc} {
+		for _, ch := range lv.chunks {
+			if ch != nil {
+				out[&ch[0]] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestChunkRecyclingDifferential builds a hierarchy from chunks another
+// hierarchy dirtied and released, and requires every Result of a random
+// Access/FlushLine/FlushAll sequence to match a model whose storage is
+// always fresh.
+func TestChunkRecyclingDifferential(t *testing.T) {
+	for name, cfg := range map[string]HierarchyConfig{"default": DefaultConfig(), "small": smallConfig()} {
+		t.Run(name, func(t *testing.T) {
+			span := uint64(cfg.LLC.SizeBytes) * 2
+			d := NewHierarchy(cfg)
+			dirty(d, span)
+			released := chunkAddrs(d)
+			d.Release()
+
+			h := NewHierarchy(cfg)
+			if err := replay(h, newRefHierarchy(cfg), 1, 200_000, span); err != nil {
+				t.Fatal(err)
+			}
+			reused := 0
+			for p := range chunkAddrs(h) {
+				if released[p] {
+					reused++
+				}
+			}
+			if reused == 0 {
+				t.Fatal("no released chunk was reused")
+			}
+			h.Release()
+		})
+	}
+}
+
+// TestReleasedHierarchyPanics pins the Release contract: every later
+// use fails loudly, including a repeat of the last accessed line.
+func TestReleasedHierarchyPanics(t *testing.T) {
+	for name, use := range map[string]func(h *Hierarchy){
+		"Access same line": func(h *Hierarchy) { h.Access(0x40) },
+		"Access":           func(h *Hierarchy) { h.Access(0x1_0000) },
+		"FlushLine":        func(h *Hierarchy) { h.FlushLine(0x40) },
+		"FlushAll":         func(h *Hierarchy) { h.FlushAll() },
+	} {
+		h := NewDefault()
+		h.Access(0x40)
+		h.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic", name)
+				}
+			}()
+			use(h)
+		}()
+	}
+}
+
+// TestChunkRecyclingConcurrent has hierarchies on several goroutines
+// take, flush and release chunks through the shared free lists at once;
+// run it under -race. Each round must match the fresh model.
+func TestChunkRecyclingConcurrent(t *testing.T) {
+	cfg := smallConfig()
+	span := uint64(cfg.LLC.SizeBytes) * 2
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				h := NewHierarchy(cfg)
+				err := replay(h, newRefHierarchy(cfg), uint64(g*10+round), 20_000, span)
+				h.Release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

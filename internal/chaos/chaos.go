@@ -269,7 +269,7 @@ func (r *Result) TotalRunErrors() int {
 // byte-identical at every pool width, including the serial engine.
 func Run(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	res := &Result{Cfg: cfg, Want: buildWorkload(cfg).want}
+	res := &Result{Cfg: cfg}
 	if cfg.Metrics {
 		// The campaign registry is built by the same constructors as
 		// each worker's, so the post-barrier merges cannot mismatch.
@@ -290,6 +290,14 @@ func Run(cfg Config) *Result {
 		runOne(cfg, cfg.Mixes[mi], RunSeed(mi, s), workers[wi], &outs[j])
 		return nil
 	})
+	// Every worker built the same workload, so any of them knows its
+	// static per-read delta; a slot that claimed no job stays nil.
+	for _, ws := range workers {
+		if ws != nil {
+			res.Want = ws.w.want
+			break
+		}
+	}
 	for mi := range cfg.Mixes {
 		mr := MixResult{Name: cfg.Mixes[mi].Name}
 		for s := 0; s < cfg.Seeds; s++ {
@@ -372,8 +380,9 @@ func buildWorkload(cfg Config) *workload {
 // built once and its memory snapshotted, then every run restores the
 // snapshot instead of reassembling; the invariant checker, injector
 // and telemetry registry are Reset between runs instead of
-// reallocated. Only the machine is rebuilt per run — it is the
-// simulation state itself, not scaffolding.
+// reallocated. The machine is rebuilt per run — it is the simulation
+// state itself, not scaffolding — but each run releases it when done,
+// so the next machine's caches reuse its tag memory.
 type campaignWorker struct {
 	w    *workload
 	snap *mem.Snapshot
@@ -584,6 +593,7 @@ func runOne(cfg Config, mix Mix, seed uint64, ws *campaignWorker, out *runOutcom
 	if ws.km != nil {
 		ws.agg.MustMerge(ws.reg)
 	}
+	m.Release()
 }
 
 // Render writes the campaign table (and a violation detail section

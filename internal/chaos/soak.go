@@ -627,6 +627,7 @@ func runOneSoak(cfg SoakConfig, mix SoakMix, seed uint64, ws *soakWorker, out *s
 	if ws.km != nil {
 		ws.agg.MustMerge(ws.reg)
 	}
+	m.Release()
 }
 
 // Render writes the soak report: the mix table, the per-wave

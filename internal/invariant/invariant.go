@@ -88,9 +88,9 @@ const maxStored = 64
 type Checker struct {
 	regions []kernel.FixupRegion
 
-	gen    map[uint64]uint64 // table word -> fold generation
-	folded map[uint64]uint64 // table word -> sum of folded chunks
-	armed  map[int]*readState
+	gen    map[uint64]uint64      // table word -> fold generation
+	folded map[uint64]uint64      // table word -> sum of folded chunks
+	armed  map[int]readState      // by value: arming a read allocates nothing
 	low    map[int]map[int]uint64 // thread ID -> counter idx -> floor value
 
 	// reapVals captures each LiMiT counter's final value (table word +
@@ -114,7 +114,7 @@ func New(regions [][2]int) *Checker {
 	c := &Checker{
 		gen:      make(map[uint64]uint64),
 		folded:   make(map[uint64]uint64),
-		armed:    make(map[int]*readState),
+		armed:    make(map[int]readState),
 		low:      make(map[int]map[int]uint64),
 		reapVals: make(map[int]map[int]uint64),
 	}
@@ -173,7 +173,7 @@ func (c *Checker) report(tid int, kind, format string, args ...any) {
 
 // step watches instruction retirement for region entry and completion.
 func (c *Checker) step(coreID int, t *kernel.Thread, prevPC, pc int) {
-	if rs := c.armed[t.ID]; rs != nil {
+	if rs, ok := c.armed[t.ID]; ok {
 		switch {
 		case prevPC == rs.region.End-1 && pc == rs.region.End:
 			// The final add retired: the read is complete. Any fold on
@@ -185,25 +185,23 @@ func (c *Checker) step(coreID int, t *kernel.Thread, prevPC, pc int) {
 					"read over [%d,%d) completed across %d fold(s) without rewind",
 					rs.region.Start, rs.region.End, g-rs.genAt)
 			}
-			delete(c.armed, t.ID)
 		case pc < rs.region.Start || pc >= rs.region.End:
 			// Left the region without completing (branch out or a
 			// rewind observed only via PC). The read was abandoned;
 			// nothing to check.
-			delete(c.armed, t.ID)
 		case pc == rs.region.Start:
 			// Back at the start (rewound between probes): re-arm below.
-			delete(c.armed, t.ID)
+		default:
+			return // still inside the read
 		}
+		delete(c.armed, t.ID)
 	}
-	if c.armed[t.ID] == nil {
-		for _, r := range c.regions {
-			if prevPC == r.Start && pc == r.Start+1 {
-				if addr, ok := c.counterAddr(t, r.Start); ok {
-					c.armed[t.ID] = &readState{region: r, tableAddr: addr, genAt: c.gen[addr]}
-				}
-				break
+	for _, r := range c.regions {
+		if prevPC == r.Start && pc == r.Start+1 {
+			if addr, ok := c.counterAddr(t, r.Start); ok {
+				c.armed[t.ID] = readState{region: r, tableAddr: addr, genAt: c.gen[addr]}
 			}
+			break
 		}
 	}
 }

@@ -358,9 +358,10 @@ func (k *Kernel) schedule(coreID int) bool {
 		}
 	}
 	if pick == -1 && k.cfg.WorkStealing {
-		if victim, vi := k.stealVictim(coreID); victim != nil {
-			k.runq[vi] = append(k.runq[vi][:victim.qIdx], k.runq[vi][victim.qIdx+1:]...)
-			q = append(q, victim.t)
+		if vi, j := k.stealVictim(coreID); vi >= 0 {
+			victim := k.runq[vi][j]
+			k.runq[vi] = append(k.runq[vi][:j], k.runq[vi][j+1:]...)
+			q = append(q, victim)
 			k.runq[coreID] = q
 			pick = len(q) - 1
 			k.Stats.Steals++
@@ -388,15 +389,11 @@ func (k *Kernel) schedule(coreID int) bool {
 	return true
 }
 
-type stolen struct {
-	t    *Thread
-	qIdx int
-}
-
 // stealVictim finds an immediately-runnable thread on the most loaded
 // other core. An idle core steals even a lone waiting thread — sitting
-// idle is never better.
-func (k *Kernel) stealVictim(thief int) (*stolen, int) {
+// idle is never better. It returns the victim's core and run-queue
+// index, or core -1 when there is nothing to steal.
+func (k *Kernel) stealVictim(thief int) (vi, qIdx int) {
 	now := k.cores[thief].Now
 	bestCore, bestLen := -1, 0
 	for i := range k.cores {
@@ -408,14 +405,14 @@ func (k *Kernel) stealVictim(thief int) (*stolen, int) {
 		}
 	}
 	if bestCore == -1 {
-		return nil, 0
+		return -1, 0
 	}
 	for j := len(k.runq[bestCore]) - 1; j >= 0; j-- {
 		if t := k.runq[bestCore][j]; t.ReadyAt <= now && k.tenantStealOK(thief, t) {
-			return &stolen{t: t, qIdx: j}, bestCore
+			return bestCore, j
 		}
 	}
-	return nil, 0
+	return -1, 0
 }
 
 // preempt deschedules the current thread at end of quantum.

@@ -412,6 +412,16 @@ func (m *Machine) MustRun(limits RunLimits) RunResult {
 	return res
 }
 
+// Release hands every core's cache tag memory back for later machines
+// to reuse. Call it after the last Run: the machine must not run again.
+// Only cache state goes away; the kernel, the PMUs and ground-truth
+// reads stay valid.
+func (m *Machine) Release() {
+	for _, c := range m.Cores {
+		c.Caches.Release()
+	}
+}
+
 // TotalGroundTruth sums an event's omniscient count over all cores and
 // both rings.
 func (m *Machine) TotalGroundTruth(ev pmu.Event) uint64 {
