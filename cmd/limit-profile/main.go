@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -190,6 +191,10 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "limit-profile: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(stderr, "limit-profile: -scale must be a positive finite number, got %v\n", *scale)
 		return 2
 	}
 	switch *format {

@@ -117,6 +117,9 @@ func TestBadInputsExit2(t *testing.T) {
 		{"-events", "no-such-event"},
 		{"-events", "l1d-miss,cycles"}, // cycles must come first
 		{"-stride", "0"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-scale", "NaN"},
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

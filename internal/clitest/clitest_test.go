@@ -80,12 +80,8 @@ func TestExitCodeContract(t *testing.T) {
 		// Exit 2: stray positional arguments, everywhere.
 		{"limit-chaos stray arg", "limit-chaos", []string{"bogus"}, 2},
 		{"limit-fleet stray arg", "limit-fleet", []string{"bogus"}, 2},
-		{"limit-ablate stray arg", "limit-ablate", []string{"bogus"}, 2},
 		{"limit-experiments stray arg", "limit-experiments", []string{"bogus"}, 2},
-		{"limit-hw stray arg", "limit-hw", []string{"bogus"}, 2},
-		{"limit-overhead stray arg", "limit-overhead", []string{"bogus"}, 2},
 		{"limit-profile stray arg", "limit-profile", []string{"bogus"}, 2},
-		{"limit-sync stray arg", "limit-sync", []string{"bogus"}, 2},
 		{"limitctl unknown subcommand", "limitctl", []string{"bogus"}, 2},
 
 		// Exit 2: unknown flags (the flag package's own discipline)
@@ -98,6 +94,14 @@ func TestExitCodeContract(t *testing.T) {
 		{"limit-chaos unknown soak mix", "limit-chaos", []string{"-soak", "-mix", "bogus"}, 2},
 		{"limit-fleet unknown space", "limit-fleet", []string{"-space", "bogus"}, 2},
 		{"limit-fleet ablate without soak", "limit-fleet", []string{"-ablate-reclaim"}, 2},
+		{"limit-experiments zero scale", "limit-experiments", []string{"-scale", "0"}, 2},
+		{"limit-experiments negative scale", "limit-experiments", []string{"-scale", "-1"}, 2},
+		{"limit-experiments NaN scale", "limit-experiments", []string{"-scale", "NaN"}, 2},
+		{"limit-experiments negative parallel", "limit-experiments", []string{"-parallel", "-1"}, 2},
+		{"limit-experiments unknown section", "limit-experiments", []string{"-only", "bogus"}, 2},
+		{"limit-profile zero scale", "limit-profile", []string{"-scale", "0"}, 2},
+		{"limit-profile negative scale", "limit-profile", []string{"-scale", "-1"}, 2},
+		{"limit-profile NaN scale", "limit-profile", []string{"-scale", "NaN"}, 2},
 		{"limitctl merge no files", "limitctl", []string{"merge"}, 2},
 		{"limitctl merge unknown format", "limitctl", []string{"merge", "-format", "bogus", "x.jsonl"}, 2},
 		{"limitctl trace stray arg", "limitctl", []string{"trace", "bogus"}, 2},
@@ -144,6 +148,22 @@ func TestUnknownMixListsAvailable(t *testing.T) {
 	for _, want := range []string{"vcpu-preempt-storm", "tenant-pmi-storm", "tenant-full-mix"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("tenant unknown-mix stderr missing %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// TestUnknownSectionListsAvailable pins the -only error surface: a
+// prefix that selects no section must exit 2 before any simulation
+// runs, name itself and enumerate the section IDs it was matched
+// against.
+func TestUnknownSectionListsAvailable(t *testing.T) {
+	code, stderr := run(t, "limit-experiments", "-only", "bogus")
+	if code != 2 {
+		t.Fatalf("unknown section exited %d, want 2\nstderr: %s", code, stderr)
+	}
+	for _, want := range []string{`-only "bogus" matches no section`, "available sections:", "T1", "F7", "A4", "M2"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("unknown-section stderr missing %q:\n%s", want, stderr)
 		}
 	}
 }
