@@ -45,6 +45,11 @@
 // the process exits nonzero if the sabotaged configuration somehow
 // reports none (a dead checker is as bad as a torn read).
 //
+// Zero keeps its "use the default" meaning on every numeric flag; a
+// negative value is a usage error (exit 2), rejected before anything
+// runs. A job that panics fails the campaign: the process names the
+// lowest-keyed failing job and exits 1.
+//
 // -soak switches to the lifecycle soak campaign: a churning
 // thread-pool workload (a manager cloning and joining waves of
 // short-lived workers) under kill storms, clone storms and pinned-slot
@@ -55,6 +60,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,186 +69,173 @@ import (
 	"limitsim/internal/chaos"
 )
 
-func main() {
-	soak := flag.Bool("soak", false, "run the thread-lifecycle soak campaign instead of the read-path campaign")
-	seeds := flag.Int("seeds", 0, "seeds per fault mix (default 32, soak 8)")
-	threads := flag.Int("threads", 6, "workload threads (read-path campaign)")
-	cores := flag.Int("cores", 4, "machine cores")
-	iters := flag.Int("iters", 0, "reads per thread (default 400, soak 40 per worker)")
-	k := flag.Int("k", 0, "compute instructions per measured region (default 25, soak 20)")
-	width := flag.Int("width", 0, "PMU writable counter width in bits (default 12, soak 10; narrow = frequent folds)")
-	pool := flag.Int("pool", 4, "soak worker-pool width")
-	waves := flag.Int("waves", 6, "soak clone/join waves per run")
-	capacity := flag.Int("capacity", 0, "soak pinned-slot ledger capacity (default 2*(pool+1)+4)")
-	tenants := flag.Int("tenants", 0, "guest-VM count; >1 time-shares the cores between tenant VMs under the two-level scheduler")
-	mixName := flag.String("mix", "", "run only the named fault mix (an unknown name lists the available mixes and exits 2)")
-	nofixup := flag.Bool("nofixup", false, "disable fixup-region registration (ablation: torn reads expected)")
-	ablateReclaim := flag.Bool("ablate-reclaim", false, "disable exit-time resource reclamation (soak ablation: leaks expected)")
-	metrics := flag.Bool("metrics", false, "attach kernel telemetry to every run and append the merged metrics block")
-	parallel := flag.Int("parallel", 0, "worker count runs fan out across (0 = GOMAXPROCS, 1 = serial); the report is byte-identical at every width")
-	report := flag.String("report", "", "write the campaign report to FILE instead of stdout (verdict lines stay on stdout/stderr)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "limit-chaos: unexpected argument %q\n", flag.Arg(0))
-		os.Exit(2)
+// result is what both campaign kinds report.
+type result interface {
+	Render(io.Writer)
+	Verdict() error
+}
+
+// run parses args, runs the read-path campaign or the soak, and
+// returns the process exit code: 0 when the verdict holds, 1 when it
+// fails or the report cannot be written, 2 for usage errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("limit-chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	soak := fs.Bool("soak", false, "run the thread-lifecycle soak campaign instead of the read-path campaign")
+	seeds := fs.Int("seeds", 0, "seeds per fault mix (default 32, soak 8)")
+	threads := fs.Int("threads", 6, "workload threads (read-path campaign)")
+	cores := fs.Int("cores", 4, "machine cores")
+	iters := fs.Int("iters", 0, "reads per thread (default 400, soak 40 per worker)")
+	k := fs.Int("k", 0, "compute instructions per measured region (default 25, soak 20)")
+	width := fs.Int("width", 0, "PMU writable counter width in bits (default 12, soak 10; narrow = frequent folds)")
+	pool := fs.Int("pool", 4, "soak worker-pool width")
+	waves := fs.Int("waves", 6, "soak clone/join waves per run")
+	capacity := fs.Int("capacity", 0, "soak pinned-slot ledger capacity (default 2*(pool+1)+4)")
+	tenants := fs.Int("tenants", 0, "guest-VM count; >1 time-shares the cores between tenant VMs under the two-level scheduler")
+	mixName := fs.String("mix", "", "run only the named fault mix (an unknown name lists the available mixes and exits 2)")
+	nofixup := fs.Bool("nofixup", false, "disable fixup-region registration (ablation: torn reads expected)")
+	ablateReclaim := fs.Bool("ablate-reclaim", false, "disable exit-time resource reclamation (soak ablation: leaks expected)")
+	metrics := fs.Bool("metrics", false, "attach kernel telemetry to every run and append the merged metrics block")
+	parallel := fs.Int("parallel", 0, "worker count runs fan out across (0 = GOMAXPROCS, 1 = serial); the report is byte-identical at every width")
+	report := fs.String("report", "", "write the campaign report to FILE instead of stdout (verdict lines stay on stdout/stderr)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "limit-chaos: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if f := negativeFlag(fs); f != nil {
+		fmt.Fprintf(stderr, "limit-chaos: -%s must not be negative (got %s)\n", f.Name, f.Value)
+		return 2
 	}
 
-	out := io.Writer(os.Stdout)
+	// simulate runs the selected campaign and returns it with the line
+	// that reports a verdict that held.
+	var simulate func() (result, string)
+	if *soak {
+		cfg := chaos.SoakConfig{
+			Seeds:         *seeds,
+			Pool:          *pool,
+			Waves:         *waves,
+			Iters:         *iters,
+			ComputeK:      *k,
+			Cores:         *cores,
+			WriteWidth:    *width,
+			SlotCapacity:  *capacity,
+			NoFixup:       *nofixup,
+			AblateReclaim: *ablateReclaim,
+			Metrics:       *metrics,
+			Parallel:      *parallel,
+			Tenants:       *tenants,
+		}
+		if cfg.Seeds == 0 {
+			cfg.Seeds = 8
+		}
+		if *mixName != "" {
+			m, ok := pick(stderr, *mixName, chaos.SoakMixes(*pool, *tenants), func(m chaos.SoakMix) string { return m.Name })
+			if !ok {
+				return 2
+			}
+			cfg.Mixes = []chaos.SoakMix{m}
+		}
+		simulate = func() (result, string) {
+			res := chaos.RunSoak(cfg)
+			if cfg.NoFixup || cfg.AblateReclaim {
+				return res, fmt.Sprintf("detected %d violation(s) under ablation, as expected", res.TotalViolations())
+			}
+			return res, fmt.Sprintf("soak clean: churn, kills, clone storms and exhaustion absorbed (%d run(s) degraded gracefully)",
+				res.TotalDegraded())
+		}
+	} else {
+		if *ablateReclaim {
+			fmt.Fprintln(stderr, "limit-chaos: -ablate-reclaim requires -soak")
+			return 2
+		}
+		cfg := chaos.Config{
+			Seeds:      *seeds,
+			Threads:    *threads,
+			Cores:      *cores,
+			Iters:      *iters,
+			ComputeK:   *k,
+			WriteWidth: *width,
+			NoFixup:    *nofixup,
+			Metrics:    *metrics,
+			Parallel:   *parallel,
+			Tenants:    *tenants,
+		}
+		if cfg.Seeds == 0 {
+			cfg.Seeds = 32
+		}
+		if *mixName != "" {
+			matrix := chaos.DefaultMixes()
+			if *tenants > 1 {
+				matrix = chaos.TenantMixes()
+			}
+			m, ok := pick(stderr, *mixName, matrix, func(m chaos.Mix) string { return m.Name })
+			if !ok {
+				return 2
+			}
+			cfg.Mixes = []chaos.Mix{m}
+		}
+		simulate = func() (result, string) {
+			res := chaos.Run(cfg)
+			if cfg.NoFixup {
+				return res, fmt.Sprintf("detected %d torn-read/invariant violation(s) with fixup disabled, as expected", res.TotalViolations())
+			}
+			return res, "all invariants held under the full fault mix"
+		}
+	}
+
+	out := stdout
 	if *report != "" {
 		f, err := os.Create(*report)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "limit-chaos: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "limit-chaos: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		out = f
 	}
-
-	if *soak {
-		runSoak(out, *seeds, *pool, *waves, *iters, *k, *cores, *width, *capacity, *parallel, *tenants, *mixName, *nofixup, *ablateReclaim, *metrics)
-		return
-	}
-	if *ablateReclaim {
-		fmt.Fprintln(os.Stderr, "limit-chaos: -ablate-reclaim requires -soak")
-		os.Exit(2)
-	}
-	if *seeds == 0 {
-		*seeds = 32
-	}
-	if *iters == 0 {
-		*iters = 400
-	}
-	if *k == 0 {
-		*k = 25
-	}
-	if *width == 0 {
-		*width = 12
-	}
-
-	cfg := chaos.Config{
-		Seeds:      *seeds,
-		Threads:    *threads,
-		Cores:      *cores,
-		Iters:      *iters,
-		ComputeK:   *k,
-		WriteWidth: *width,
-		NoFixup:    *nofixup,
-		Metrics:    *metrics,
-		Parallel:   *parallel,
-		Tenants:    *tenants,
-	}
-	if *mixName != "" {
-		matrix := chaos.DefaultMixes()
-		if *tenants > 1 {
-			matrix = chaos.TenantMixes()
-		}
-		for _, m := range matrix {
-			if m.Name == *mixName {
-				cfg.Mixes = []chaos.Mix{m}
-			}
-		}
-		if len(cfg.Mixes) == 0 {
-			names := make([]string, len(matrix))
-			for i, m := range matrix {
-				names[i] = m.Name
-			}
-			unknownMix(*mixName, names)
-		}
-	}
-	res := chaos.Run(cfg)
+	res, held := simulate()
 	res.Render(out)
-
-	violations := res.TotalViolations()
-	errs := res.TotalRunErrors()
-	switch {
-	case errs > 0:
-		fmt.Fprintf(os.Stderr, "limit-chaos: %d run(s) failed\n", errs)
-		os.Exit(1)
-	case *nofixup && violations == 0:
-		fmt.Fprintln(os.Stderr, "limit-chaos: fixup disabled but no torn reads detected — checker is blind")
-		os.Exit(1)
-	case !*nofixup && violations > 0:
-		fmt.Fprintf(os.Stderr, "limit-chaos: %d invariant violation(s) with fixup enabled\n", violations)
-		os.Exit(1)
+	if err := res.Verdict(); err != nil {
+		fmt.Fprintf(stderr, "limit-chaos: %v\n", err)
+		return 1
 	}
-	if *nofixup {
-		fmt.Printf("detected %d torn-read/invariant violation(s) with fixup disabled, as expected\n", violations)
-	} else {
-		fmt.Println("all invariants held under the full fault mix")
-	}
+	fmt.Fprintln(stdout, held)
+	return 0
 }
 
-// runSoak executes the lifecycle soak campaign and applies its exit
-// discipline: failed runs are always fatal; a sabotaged configuration
-// (-nofixup or -ablate-reclaim) must detect its own damage; a healthy
-// one must detect nothing.
-func runSoak(out io.Writer, seeds, pool, waves, iters, k, cores, width, capacity, parallel, tenants int, mixName string, nofixup, ablateReclaim, metrics bool) {
-	if seeds == 0 {
-		seeds = 8
-	}
-	cfg := chaos.SoakConfig{
-		Seeds:         seeds,
-		Pool:          pool,
-		Waves:         waves,
-		Iters:         iters,
-		ComputeK:      k,
-		Cores:         cores,
-		WriteWidth:    width,
-		SlotCapacity:  capacity,
-		NoFixup:       nofixup,
-		AblateReclaim: ablateReclaim,
-		Metrics:       metrics,
-		Parallel:      parallel,
-		Tenants:       tenants,
-	}
-	if mixName != "" {
-		matrix := chaos.SoakMixes(pool, tenants)
-		for _, m := range matrix {
-			if m.Name == mixName {
-				cfg.Mixes = []chaos.SoakMix{m}
-			}
+// negativeFlag returns the first int flag set to a negative value, or
+// nil.
+func negativeFlag(fs *flag.FlagSet) (bad *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
+		if v, ok := f.Value.(flag.Getter).Get().(int); ok && v < 0 && bad == nil {
+			bad = f
 		}
-		if len(cfg.Mixes) == 0 {
-			names := make([]string, len(matrix))
-			for i, m := range matrix {
-				names[i] = m.Name
-			}
-			unknownMix(mixName, names)
-		}
-	}
-	res := chaos.RunSoak(cfg)
-	res.Render(out)
-
-	sabotaged := nofixup || ablateReclaim
-	violations := res.TotalViolations()
-	errs := res.TotalRunErrors()
-	switch {
-	case errs > 0:
-		fmt.Fprintf(os.Stderr, "limit-chaos: %d soak run(s) failed\n", errs)
-		os.Exit(1)
-	case sabotaged && violations == 0:
-		fmt.Fprintln(os.Stderr, "limit-chaos: ablation enabled but no violations detected — the oracles are blind")
-		os.Exit(1)
-	case !sabotaged && violations > 0:
-		fmt.Fprintf(os.Stderr, "limit-chaos: %d violation(s) in a healthy soak\n", violations)
-		os.Exit(1)
-	}
-	if sabotaged {
-		fmt.Printf("detected %d violation(s) under ablation, as expected\n", violations)
-	} else {
-		fmt.Printf("soak clean: churn, kills, clone storms and exhaustion absorbed (%d run(s) degraded gracefully)\n",
-			res.TotalDegraded())
-	}
+	})
+	return bad
 }
 
-// unknownMix reports an unrecognized -mix name with the valid choices
-// and exits with the usage-error status, matching the unknown-
-// subcommand contract elsewhere in the toolchain.
-func unknownMix(name string, names []string) {
-	fmt.Fprintf(os.Stderr, "limit-chaos: unknown mix %q; available mixes:\n", name)
-	for _, n := range names {
-		fmt.Fprintf(os.Stderr, "  %s\n", n)
+// pick returns the mix called name. An unknown name lists the
+// available mixes on stderr, matching the unknown-subcommand contract
+// elsewhere in the toolchain, and reports false.
+func pick[M any](stderr io.Writer, name string, matrix []M, nameOf func(M) string) (M, bool) {
+	for _, m := range matrix {
+		if nameOf(m) == name {
+			return m, true
+		}
 	}
-	os.Exit(2)
+	fmt.Fprintf(stderr, "limit-chaos: unknown mix %q; available mixes:\n", name)
+	for _, m := range matrix {
+		fmt.Fprintf(stderr, "  %s\n", nameOf(m))
+	}
+	var none M
+	return none, false
 }

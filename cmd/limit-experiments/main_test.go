@@ -7,12 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"limitsim/internal/clitest"
 	"limitsim/internal/experiments"
 )
-
-// goldenArgs are the flags testdata/golden/record.sh records
-// experiments.txt with.
-var goldenArgs = []string{"-scale", "0.1", "-parallel", "4"}
 
 func runOK(t *testing.T, args ...string) string {
 	t.Helper()
@@ -33,26 +30,19 @@ func golden(t *testing.T) string {
 }
 
 // TestGoldenExperiments pins every section's title, order and body
-// byte for byte against the recorded golden.
+// byte for byte against the golden that testdata/golden/record.sh
+// records at -scale 0.1, serially and on a pool.
 func TestGoldenExperiments(t *testing.T) {
-	got, want := runOK(t, goldenArgs...), golden(t)
-	if got == want {
-		return
+	for _, n := range []string{"1", "4"} {
+		clitest.Golden(t, "experiments.txt", runOK(t, "-scale", "0.1", "-parallel", n))
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("output differs from golden at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("output has %d lines, golden %d", len(gl), len(wl))
 }
 
 // TestOnlySelectsByPrefix checks that -only matches case-insensitively
 // and prints exactly the selected sections, as they appear in the
 // full run.
 func TestOnlySelectsByPrefix(t *testing.T) {
-	got := runOK(t, append([]string{"-only", "f7"}, goldenArgs...)...)
+	got := runOK(t, "-only", "f7", "-scale", "0.1")
 	if !strings.HasPrefix(got, "F7 — Hardware-counter enhancements\n") {
 		t.Errorf("-only f7 output starts %q", strings.SplitN(got, "\n", 2)[0])
 	}

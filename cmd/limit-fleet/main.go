@@ -86,6 +86,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "limit-fleet: unexpected argument %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
+	if f := negativeFlag(); f != nil {
+		fmt.Fprintf(os.Stderr, "limit-fleet: -%s must not be negative (got %s)\n", f.Name, f.Value)
+		os.Exit(2)
+	}
 
 	if *worker {
 		runWorker()
@@ -128,8 +132,8 @@ func main() {
 		}
 		ccfg := chaos.Config{
 			Seeds: defInt(*seeds, 32), Threads: *threads, Cores: *cores,
-			Iters: defInt(*iters, 400), ComputeK: defInt(*k, 25),
-			WriteWidth: defInt(*width, 12), NoFixup: *nofixup, Metrics: *metrics,
+			Iters: *iters, ComputeK: *k, WriteWidth: *width,
+			NoFixup: *nofixup, Metrics: *metrics,
 		}
 		spec, err := spaces.CampaignSpec(ccfg)
 		check(err)
@@ -141,7 +145,7 @@ func main() {
 		} else {
 			res.Render(out)
 		}
-		campaignVerdict(res, *nofixup)
+		check(res.Verdict())
 	case "soak":
 		scfg := chaos.SoakConfig{
 			Seeds: defInt(*seeds, 8), Pool: *pool, Waves: *waves,
@@ -159,7 +163,7 @@ func main() {
 		} else {
 			res.Render(out)
 		}
-		soakVerdict(res, *nofixup || *ablateReclaim)
+		check(res.Verdict())
 	case "f2":
 		spec, err := spaces.F2Spec(experiments.Scale(*scale))
 		check(err)
@@ -234,41 +238,6 @@ func runFleet(cfg fleet.Config, spec fleet.SpaceSpec, spawn fleet.Spawner) *flee
 	return rep
 }
 
-// campaignVerdict applies limit-chaos's exit discipline to the
-// assembled campaign result.
-func campaignVerdict(res *chaos.Result, nofixup bool) {
-	violations := res.TotalViolations()
-	errs := res.TotalRunErrors()
-	switch {
-	case errs > 0:
-		fmt.Fprintf(os.Stderr, "limit-fleet: %d run(s) failed\n", errs)
-		os.Exit(1)
-	case nofixup && violations == 0:
-		fmt.Fprintln(os.Stderr, "limit-fleet: fixup disabled but no torn reads detected — checker is blind")
-		os.Exit(1)
-	case !nofixup && violations > 0:
-		fmt.Fprintf(os.Stderr, "limit-fleet: %d invariant violation(s) with fixup enabled\n", violations)
-		os.Exit(1)
-	}
-}
-
-// soakVerdict applies limit-chaos's soak exit discipline.
-func soakVerdict(res *chaos.SoakResult, sabotaged bool) {
-	violations := res.TotalViolations()
-	errs := res.TotalRunErrors()
-	switch {
-	case errs > 0:
-		fmt.Fprintf(os.Stderr, "limit-fleet: %d soak run(s) failed\n", errs)
-		os.Exit(1)
-	case sabotaged && violations == 0:
-		fmt.Fprintln(os.Stderr, "limit-fleet: ablation enabled but no violations detected — the oracles are blind")
-		os.Exit(1)
-	case !sabotaged && violations > 0:
-		fmt.Fprintf(os.Stderr, "limit-fleet: %d violation(s) in a healthy soak\n", violations)
-		os.Exit(1)
-	}
-}
-
 func selfPath() string {
 	p, err := os.Executable()
 	if err != nil {
@@ -284,6 +253,17 @@ func defInt(v, def int) int {
 		return def
 	}
 	return v
+}
+
+// negativeFlag returns the first int flag set to a negative value, or
+// nil; zero keeps its "use the default" meaning.
+func negativeFlag() (bad *flag.Flag) {
+	flag.Visit(func(f *flag.Flag) {
+		if v, ok := f.Value.(flag.Getter).Get().(int); ok && v < 0 && bad == nil {
+			bad = f
+		}
+	})
+	return bad
 }
 
 func check(err error) {

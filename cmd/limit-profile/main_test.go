@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"limitsim/internal/clitest"
 	"limitsim/internal/trace"
 )
 
@@ -23,6 +24,22 @@ func run(t *testing.T, args ...string) string {
 // profileArgs keeps the test workload small but large enough that the
 // known-answer ranking is stable.
 var profileArgs = []string{"-workload", "mysql", "-scale", "0.3"}
+
+// TestGoldens replays testdata/golden/record.sh's profiler invocation
+// at several calibration widths and byte-compares both the text report
+// and the HTML artifact.
+func TestGoldens(t *testing.T) {
+	for _, n := range []string{"1", "2", "4"} {
+		path := filepath.Join(t.TempDir(), "report.html")
+		clitest.Golden(t, "profile-mysql.txt",
+			run(t, "-workload", "mysql", "-scale", "0.3", "-budget", "1.05", "-parallel", n, "-html", path))
+		html, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clitest.Golden(t, "report-mysql.html", string(html))
+	}
+}
 
 func TestGoldenDeterminism(t *testing.T) {
 	for _, format := range []string{"text", "markdown", "jsonl"} {

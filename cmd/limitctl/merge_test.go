@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"limitsim/internal/clitest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite merge golden files from current output")
@@ -24,13 +26,7 @@ func goldenCheck(t *testing.T, name, got string) {
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run go test -run Merge -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("output differs from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-	}
+	clitest.Compare(t, path, got)
 }
 
 // TestMergeGolden pins the merge subcommand end to end: two shard

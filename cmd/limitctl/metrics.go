@@ -25,8 +25,8 @@ import (
 // activates the guest-scheduler layer, deals workload threads
 // round-robin across guests, and stamps every frame with its tenant
 // id; -split tenant|thread keys the series per guest or per worker
-// thread. Unknown metric names and a non-positive -window are rejected
-// before any simulation runs. Returns the process exit code.
+// thread. Unknown metric names and a non-positive -window or -width
+// are rejected before any simulation runs. Returns the process exit code.
 func runMetrics(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("limitctl metrics", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -85,6 +85,10 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	}
 	if *tenants < 1 {
 		fmt.Fprintf(stderr, "limitctl metrics: -tenants must be >= 1 (got %d)\n", *tenants)
+		return 2
+	}
+	if *width <= 0 {
+		fmt.Fprintf(stderr, "limitctl metrics: -width must be positive (got %d)\n", *width)
 		return 2
 	}
 

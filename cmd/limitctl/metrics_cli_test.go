@@ -7,12 +7,19 @@ import (
 	"strings"
 	"testing"
 
+	"limitsim/internal/clitest"
 	"limitsim/internal/metrics"
 )
 
 // metricsArgs is the fast deterministic base invocation for the
 // metrics subcommand tests.
 var metricsArgs = []string{"-app", "forkjoin", "-scale", "0.3"}
+
+// TestFramesGolden replays testdata/golden/record.sh's frames export
+// and byte-compares it.
+func TestFramesGolden(t *testing.T) {
+	clitest.Golden(t, "frames-apache.jsonl", run(t, runMetrics, "-app", "apache", "-scale", "0.3", "-format", "frames"))
+}
 
 func TestMetricsSeriesDeterminism(t *testing.T) {
 	for _, format := range []string{"text", "jsonl"} {

@@ -20,6 +20,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -237,6 +238,30 @@ type Result struct {
 	// Byte-deterministic for a given Config, like the rest of the
 	// report.
 	Telemetry *telemetry.Registry
+	// Err is the lowest-keyed job failure the runner reported: a job
+	// that panicked, which also cancelled every job not yet claimed, so
+	// the mix tables are incomplete. Nil for a campaign that ran every
+	// job.
+	Err error
+}
+
+// Verdict applies the campaign's exit discipline: a lost job or a
+// failed run fails the campaign; with the fixup patch active it must
+// report no violations, and with it ablated (Cfg.NoFixup) it must
+// report some, because a blind checker is as bad as a torn read.
+func (r *Result) Verdict() error {
+	violations := r.TotalViolations()
+	switch {
+	case r.Err != nil:
+		return r.Err
+	case r.TotalRunErrors() > 0:
+		return fmt.Errorf("%d run(s) failed", r.TotalRunErrors())
+	case r.Cfg.NoFixup && violations == 0:
+		return errors.New("fixup disabled but no torn reads detected — checker is blind")
+	case !r.Cfg.NoFixup && violations > 0:
+		return fmt.Errorf("%d invariant violation(s) with fixup enabled", violations)
+	}
+	return nil
 }
 
 // TotalViolations sums violations across the matrix.
@@ -282,12 +307,12 @@ func Run(cfg Config) *Result {
 	rc := runner.Config{Jobs: len(cfg.Mixes) * cfg.Seeds, Parallel: cfg.Parallel}
 	workers := make([]*campaignWorker, rc.Workers())
 	outs := make([]runOutcome, rc.Jobs)
-	runner.Run(rc, func(j, wi int) error {
+	res.Err = runner.Run(rc, func(j, wi int) error {
 		if workers[wi] == nil {
 			workers[wi] = newCampaignWorker(cfg)
 		}
 		mi, s := j/cfg.Seeds, j%cfg.Seeds
-		runOne(cfg, cfg.Mixes[mi], RunSeed(mi, s), workers[wi], &outs[j])
+		runJob(cfg, cfg.Mixes[mi], RunSeed(mi, s), workers[wi], &outs[j])
 		return nil
 	})
 	// Every worker built the same workload, so any of them knows its
@@ -475,6 +500,10 @@ func (o *runOutcome) foldInto(mr *MixResult) {
 		mr.Samples = append(mr.Samples, v)
 	}
 }
+
+// runJob is the campaign's per-job function; a test swaps it to inject
+// a panic into one job.
+var runJob = runOne
 
 // runOne executes a single seeded run on worker ws and records its
 // outcome into out. The worker's pooled artifacts are restored/reset

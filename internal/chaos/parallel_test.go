@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"limitsim/internal/runner"
 )
 
 // renderCampaign runs a small but non-trivial campaign at the given
@@ -113,5 +116,43 @@ func TestCampaignWorkerReuseClean(t *testing.T) {
 		a.ReadsCompleted != b.ReadsCompleted || a.TornDeltas != b.TornDeltas ||
 		a.CheckerViolations != b.CheckerViolations || a.RunErrors != b.RunErrors {
 		t.Errorf("worker reuse changed a run's outcome:\nfirst: %+v\nagain: %+v", a, b)
+	}
+}
+
+// TestPanickingJobFailsCampaign injects a panic into two jobs of a
+// campaign and of a soak. At every pool width the result must carry
+// the lowest-keyed panic and fail its verdict with it, naming the job,
+// instead of rendering clean with empty slots.
+func TestPanickingJobFailsCampaign(t *testing.T) {
+	origRun, origSoak := runJob, runSoakJob
+	defer func() { runJob, runSoakJob = origRun, origSoak }()
+	// Campaign keys are mix-major over 2 seeds, so (1,1) is job 3 and
+	// (3,0) is job 6; soak keys restart per mix.
+	faulty := func(seed uint64) bool { return seed == RunSeed(1, 1) || seed == RunSeed(3, 0) }
+	runJob = func(cfg Config, mix Mix, seed uint64, ws *campaignWorker, out *runOutcome) {
+		if faulty(seed) {
+			panic("injected")
+		}
+		runOne(cfg, mix, seed, ws, out)
+	}
+	runSoakJob = func(cfg SoakConfig, mix SoakMix, seed uint64, ws *soakWorker, out *soakOutcome) {
+		if faulty(seed) {
+			panic("injected")
+		}
+		runOneSoak(cfg, mix, seed, ws, out)
+	}
+	soak := quickSoakCfg()
+	for _, par := range []int{1, 4} {
+		err := Run(Config{Seeds: 2, Threads: 2, Iters: 40, Parallel: par}).Verdict()
+		var pe *runner.PanicError
+		if !errors.As(err, &pe) || pe.Job != 3 || !strings.Contains(err.Error(), "job 3 panicked: injected") {
+			t.Errorf("parallel=%d: campaign verdict %v, want job 3's panic", par, err)
+		}
+		soak.Parallel = par
+		err = RunSoak(soak).Verdict()
+		want := "soak mix " + soak.Mixes[1].Name + ": runner: job 1 panicked: injected"
+		if !errors.As(err, &pe) || err.Error() != want {
+			t.Errorf("parallel=%d: soak verdict %v, want %q", par, err, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -258,6 +259,30 @@ type SoakResult struct {
 	// Telemetry is the campaign-wide kernel metrics registry, merged
 	// across every run, when Cfg.Metrics is set (nil otherwise).
 	Telemetry *telemetry.Registry
+	// Err is the first job failure the runner reported, in (mix, seed)
+	// order: a job that panicked, which also cancelled the rest of its
+	// mix. Nil for a soak that ran every job.
+	Err error
+}
+
+// Verdict applies the soak's exit discipline: a lost job or a failed
+// run fails the soak; a sabotaged configuration (Cfg.NoFixup or
+// Cfg.AblateReclaim) must detect its own damage, and a healthy one
+// must detect nothing.
+func (r *SoakResult) Verdict() error {
+	sabotaged := r.Cfg.NoFixup || r.Cfg.AblateReclaim
+	violations := r.TotalViolations()
+	switch {
+	case r.Err != nil:
+		return r.Err
+	case r.TotalRunErrors() > 0:
+		return fmt.Errorf("%d soak run(s) failed", r.TotalRunErrors())
+	case sabotaged && violations == 0:
+		return errors.New("ablation enabled but no violations detected — the oracles are blind")
+	case !sabotaged && violations > 0:
+		return fmt.Errorf("%d violation(s) in a healthy soak", violations)
+	}
+	return nil
 }
 
 // TotalViolations sums violations across the matrix.
@@ -312,13 +337,16 @@ func RunSoak(cfg SoakConfig) *SoakResult {
 	for mi := range cfg.Mixes {
 		mix := cfg.Mixes[mi]
 		outs := make([]soakOutcome, cfg.Seeds)
-		runner.Run(rc, func(j, wi int) error {
+		err := runner.Run(rc, func(j, wi int) error {
 			if workers[wi] == nil {
 				workers[wi] = newSoakWorker(cfg)
 			}
-			runOneSoak(cfg, mix, RunSeed(mi, j), workers[wi], &outs[j])
+			runSoakJob(cfg, mix, RunSeed(mi, j), workers[wi], &outs[j])
 			return nil
 		})
+		if err != nil && res.Err == nil {
+			res.Err = fmt.Errorf("soak mix %s: %w", mix.Name, err)
+		}
 		mr := SoakMixResult{Name: mix.Name, Waves: make([]WaveAcct, cfg.Waves)}
 		for s := range outs {
 			outs[s].foldInto(&mr)
@@ -447,6 +475,10 @@ func (o *soakOutcome) foldInto(mr *SoakMixResult) {
 		mr.Samples = append(mr.Samples, v)
 	}
 }
+
+// runSoakJob is the soak's per-job function; a test swaps it to inject
+// a panic into one job.
+var runSoakJob = runOneSoak
 
 // runOneSoak executes a single seeded soak run on worker ws and
 // records its outcome into out.

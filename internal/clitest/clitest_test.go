@@ -94,6 +94,11 @@ func TestExitCodeContract(t *testing.T) {
 		{"limit-chaos unknown soak mix", "limit-chaos", []string{"-soak", "-mix", "bogus"}, 2},
 		{"limit-fleet unknown space", "limit-fleet", []string{"-space", "bogus"}, 2},
 		{"limit-fleet ablate without soak", "limit-fleet", []string{"-ablate-reclaim"}, 2},
+		{"limit-chaos negative seeds", "limit-chaos", []string{"-seeds", "-3"}, 2},
+		{"limit-chaos negative parallel", "limit-chaos", []string{"-parallel", "-5"}, 2},
+		{"limit-chaos negative iters", "limit-chaos", []string{"-iters", "-4"}, 2},
+		{"limit-chaos negative threads", "limit-chaos", []string{"-threads", "-1"}, 2},
+		{"limit-fleet negative seeds", "limit-fleet", []string{"-seeds", "-3"}, 2},
 		{"limit-experiments zero scale", "limit-experiments", []string{"-scale", "0"}, 2},
 		{"limit-experiments negative scale", "limit-experiments", []string{"-scale", "-1"}, 2},
 		{"limit-experiments NaN scale", "limit-experiments", []string{"-scale", "NaN"}, 2},
@@ -110,6 +115,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl metrics unknown metric", "limitctl", []string{"metrics", "-metric", "bogus"}, 2},
 		{"limitctl metrics unknown format", "limitctl", []string{"metrics", "-format", "bogus"}, 2},
 		{"limitctl metrics empty selection", "limitctl", []string{"metrics", "-metric", ","}, 2},
+		{"limitctl metrics zero width", "limitctl", []string{"metrics", "-width", "0"}, 2},
+		{"limitctl metrics negative width", "limitctl", []string{"metrics", "-width", "-2"}, 2},
 
 		// Exit 1: runtime failures.
 		{"limitctl merge missing file", "limitctl", []string{"merge", filepath.Join(tmp, "absent.jsonl")}, 1},

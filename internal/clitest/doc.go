@@ -7,6 +7,7 @@
 // byte-identical to the single-process limit-chaos report, including
 // under worker self-chaos.
 //
-// The package contains only tests; the binaries are built once per
-// test run into a temp directory (skipped under -short).
+// Its tests build the binaries once per test run into a temp
+// directory (skipped under -short). Its one library file holds the
+// golden byte-compare the cmd packages' in-process tests share.
 package clitest

@@ -568,7 +568,8 @@ func (c *coordinator) completeJob(w *workerState, k int, payload []byte) {
 // runInline executes every unsettled job in-process through the runner
 // engine — the graceful-degradation path when no workers can run. Job
 // errors here are deterministic (no process to crash), so a failing
-// job goes straight to quarantine.
+// or panicking job goes straight to quarantine; a panic must not reach
+// the runner, which would cancel the jobs after it.
 func (c *coordinator) runInline() {
 	c.rep.Stats.Degraded = true
 	var keys []int
@@ -583,7 +584,7 @@ func (c *coordinator) runInline() {
 	}
 	outs := make([]inlineOut, len(keys))
 	runner.Run(runner.Config{Jobs: len(keys), Parallel: c.cfg.InlineParallel}, func(i, worker int) error {
-		payload, err := c.space.Run(keys[i], worker)
+		payload, err := runJob(c.space, keys[i], worker)
 		outs[i] = inlineOut{payload: payload, err: err}
 		return nil
 	})

@@ -313,18 +313,22 @@ func TestFleetDegradesInProcessWhenSpawnsFail(t *testing.T) {
 	}
 }
 
+// TestFleetWorkersZeroRunsInline pins the in-process path: a failing
+// and a panicking job are quarantined, the panic with its message, and
+// every other job, including those after the panic, still runs.
 func TestFleetWorkersZeroRunsInline(t *testing.T) {
 	const n = 7
-	rep, err := Run(Config{Workers: 0}, sqSpec(t, sqSpace{N: n, FailKeys: []int{2}}), nil)
+	rep, err := Run(Config{Workers: 0}, sqSpec(t, sqSpace{N: n, FailKeys: []int{2}, PanicKeys: []int{4}}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustClean(t, rep)
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Key != 2 {
-		t.Fatalf("Quarantined = %v, want job 2", rep.Quarantined)
+	if len(rep.Quarantined) != 2 || rep.Quarantined[0].Key != 2 || rep.Quarantined[1].Key != 4 ||
+		!strings.Contains(rep.Quarantined[1].Errs[0], "job 4 panicked") {
+		t.Fatalf("Quarantined = %v, want job 2 and job 4's panic", rep.Quarantined)
 	}
 	for k := 0; k < n; k++ {
-		if k != 2 && !rep.Done[k] {
+		if k != 2 && k != 4 && !rep.Done[k] {
 			t.Fatalf("job %d not done", k)
 		}
 	}

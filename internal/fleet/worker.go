@@ -140,7 +140,7 @@ func serveJob(space JobSpace, job jobPayload, chaos ChaosConfig, out *frameWrite
 	case fateTrunc:
 		// Serve the job but tear the result frame halfway through —
 		// exactly the torn write a worker dying mid-flush produces.
-		payload, err := runJob(space, job.Key)
+		payload, err := runJob(space, job.Key, 0)
 		if err != nil {
 			return ErrChaosKill
 		}
@@ -155,7 +155,7 @@ func serveJob(space JobSpace, job jobPayload, chaos ChaosConfig, out *frameWrite
 	}
 
 	hb.active(job.Key)
-	payload, err := runJob(space, job.Key)
+	payload, err := runJob(space, job.Key, 0)
 	hb.idle()
 	if err != nil {
 		return out.write("joberr", jobErrPayload{Key: job.Key, Attempt: job.Attempt, Error: err.Error()})
@@ -163,10 +163,10 @@ func serveJob(space JobSpace, job jobPayload, chaos ChaosConfig, out *frameWrite
 	return out.write("result", resultPayload{Key: job.Key, Attempt: job.Attempt, Payload: payload})
 }
 
-// runJob executes the job, converting a panic into an error the same
-// way internal/runner does: one broken run must not take the worker's
-// other claims down with it un-reported.
-func runJob(space JobSpace, key int) (payload []byte, err error) {
+// runJob executes the job on the given worker slot, converting a panic
+// into an error the same way internal/runner does: one broken run must
+// not take the worker's other claims down with it un-reported.
+func runJob(space JobSpace, key, worker int) (payload []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("job %d panicked: %v\n%s", key, v, debug.Stack())
@@ -175,7 +175,7 @@ func runJob(space JobSpace, key int) (payload []byte, err error) {
 	if key < 0 || key >= space.NumJobs() {
 		return nil, fmt.Errorf("job key %d outside space [0,%d)", key, space.NumJobs())
 	}
-	return space.Run(key, 0)
+	return space.Run(key, worker)
 }
 
 // frameWriter serializes frame writes from the serve loop and the

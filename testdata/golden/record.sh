@@ -1,46 +1,27 @@
 #!/bin/sh
-# Golden byte-equality harness for the simulator's observable outputs.
+# Records the golden byte-identity files for the simulator's observable
+# outputs: campaign, soak and tenant reports, profiler output and its
+# HTML artifact, experiment tables and metric frames, each at fixed
+# seeds. No output byte may change without an intentional re-record.
 #
-# The perf work on the interpreter hot loop (PMU dispatch tables,
-# word-level memory, COW snapshots) must not change a single output
-# byte: campaign reports, soak reports, profiler output, experiment
-# tables, metric frames and HTML artifacts are pinned here at fixed
-# seeds. The files in this directory were recorded on the
-# pre-optimization tree.
+# `go test ./cmd/...` is the check: each cmd's tests replay these
+# invocations in process, at several pool widths, and byte-compare the
+# results with the files here.
 #
 # Usage (from the repo root):
-#   ./testdata/golden/record.sh check    # re-run and byte-compare (CI)
-#   ./testdata/golden/record.sh record   # overwrite the goldens
+#   ./testdata/golden/record.sh record    # overwrite the goldens
 set -eu
 
-dir="$(dirname "$0")"
-mode="${1:-check}"
-files="campaign.txt soak.txt tenant-campaign.txt profile-mysql.txt experiments.txt frames-apache.jsonl report-mysql.html"
-
-case "$mode" in
-record) out="$dir" ;;
-check) out="${TMPDIR:-/tmp}/limitsim-golden.$$" && mkdir -p "$out" ;;
-*) echo "usage: $0 [check|record]" >&2 && exit 2 ;;
-esac
-
-go run ./cmd/limit-chaos -seeds 4 -iters 150 -metrics -parallel 1 >"$out/campaign.txt"
-go run ./cmd/limit-chaos -soak -seeds 2 -metrics -parallel 4 >"$out/soak.txt"
-go run ./cmd/limit-chaos -tenants 4 -seeds 2 -metrics -parallel 4 -report "$out/tenant-campaign.txt"
-go run ./cmd/limit-profile -workload mysql -scale 0.3 -budget 1.05 -parallel 4 -html "$out/report-mysql.html" >"$out/profile-mysql.txt"
-go run ./cmd/limit-experiments -scale 0.1 -parallel 4 >"$out/experiments.txt"
-go run ./cmd/limitctl metrics -app apache -scale 0.3 -format frames >"$out/frames-apache.jsonl"
-
-if [ "$mode" = check ]; then
-	rc=0
-	for f in $files; do
-		if cmp "$dir/$f" "$out/$f"; then
-			echo "golden ok: $f"
-		else
-			echo "golden MISMATCH: $f" >&2
-			rc=1
-		fi
-	done
-	rm -rf "$out"
-	exit $rc
+if [ "${1:-record}" != record ]; then
+	echo "usage: $0 [record] (the check is: go test ./cmd/...)" >&2
+	exit 2
 fi
-echo "recorded $(echo $files | wc -w) goldens into $dir"
+dir="$(dirname "$0")"
+
+go run ./cmd/limit-chaos -seeds 4 -iters 150 -metrics -parallel 1 >"$dir/campaign.txt"
+go run ./cmd/limit-chaos -soak -seeds 2 -metrics -parallel 4 >"$dir/soak.txt"
+go run ./cmd/limit-chaos -tenants 4 -seeds 2 -metrics -parallel 4 -report "$dir/tenant-campaign.txt"
+go run ./cmd/limit-profile -workload mysql -scale 0.3 -budget 1.05 -parallel 4 -html "$dir/report-mysql.html" >"$dir/profile-mysql.txt"
+go run ./cmd/limit-experiments -scale 0.1 -parallel 4 >"$dir/experiments.txt"
+go run ./cmd/limitctl metrics -app apache -scale 0.3 -format frames >"$dir/frames-apache.jsonl"
+echo "recorded 7 goldens into $dir"
