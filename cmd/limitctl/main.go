@@ -41,7 +41,9 @@
 // telemetry registries, flame spans) without running a simulation.
 // Unknown subcommands, unknown -format values, unknown -metric names,
 // a non-positive -window, merge with no input files, and report with
-// no inputs exit 2 with usage.
+// no inputs exit 2 with usage. A non-positive -cores, a -scale that is
+// not positive and finite, a non-positive trace -n and metrics
+// -counters outside [3, 63] exit 2 with one line, before simulating.
 package main
 
 import (
@@ -243,6 +245,9 @@ func main() {
 		return
 	}
 
+	if !checkRunFlags(os.Stderr, "limitctl", *cores, *scale) {
+		os.Exit(2)
+	}
 	ins, ok := buildInstrumentation(*method, *period)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "limitctl: unknown method %q (see -list)\n", *method)

@@ -168,3 +168,57 @@ func TestUnknownAppAndMethodExit2(t *testing.T) {
 		t.Errorf("stats -method=nope exited %d, want 2", code)
 	}
 }
+
+// TestOutOfRangeFlagsExit2 pins the strict-input rule for the
+// simulating subcommands: a machine or workload size outside its range
+// exits 2 with one stderr line naming the flag, and nothing is
+// simulated or written to stdout. -rotation 0 is the kernel default
+// and -counters 3 the smallest bank with a rotating slot; both run.
+func TestOutOfRangeFlagsExit2(t *testing.T) {
+	subs := map[string]func(args []string, stdout, stderr io.Writer) int{
+		"trace": runTrace, "stats": runStats, "metrics": runMetrics,
+	}
+	cases := []struct {
+		sub  string
+		args []string
+		flag string
+	}{
+		{"metrics", []string{"-counters", "64"}, "-counters"},
+		{"metrics", []string{"-counters", "2"}, "-counters"},
+		{"metrics", []string{"-counters", "0"}, "-counters"},
+		{"metrics", []string{"-counters", "-1"}, "-counters"},
+		{"metrics", []string{"-cores", "0"}, "-cores"},
+		{"metrics", []string{"-scale", "NaN"}, "-scale"},
+		{"metrics", []string{"-scale", "0"}, "-scale"},
+		{"metrics", []string{"-scale", "+Inf"}, "-scale"},
+		{"stats", []string{"-cores", "0"}, "-cores"},
+		{"stats", []string{"-cores", "-2"}, "-cores"},
+		{"stats", []string{"-scale", "-1"}, "-scale"},
+		{"stats", []string{"-scale", "NaN"}, "-scale"},
+		{"trace", []string{"-n", "0"}, "-n"},
+		{"trace", []string{"-n", "-5"}, "-n"},
+		{"trace", []string{"-cores", "0"}, "-cores"},
+		{"trace", []string{"-scale", "Inf"}, "-scale"},
+	}
+	for _, tc := range cases {
+		var out, errb bytes.Buffer
+		code := subs[tc.sub](tc.args, &out, &errb)
+		if code != 2 {
+			t.Errorf("%s %v exited %d, want 2 (stderr: %s)", tc.sub, tc.args, code, errb.String())
+			continue
+		}
+		msg := errb.String()
+		if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.flag+" must be") {
+			t.Errorf("%s %v: want one line naming %s, got %q", tc.sub, tc.args, tc.flag, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %v wrote %d bytes to stdout before rejecting", tc.sub, tc.args, out.Len())
+		}
+	}
+	for _, args := range [][]string{
+		{"-app", "forkjoin", "-scale", "0.05", "-counters", "3", "-format", "frames"},
+		{"-app", "forkjoin", "-scale", "0.05", "-counters", "63", "-rotation", "0", "-format", "frames"},
+	} {
+		run(t, runMetrics, args...)
+	}
+}

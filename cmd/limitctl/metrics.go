@@ -25,8 +25,9 @@ import (
 // activates the guest-scheduler layer, deals workload threads
 // round-robin across guests, and stamps every frame with its tenant
 // id; -split tenant|thread keys the series per guest or per worker
-// thread. Unknown metric names and a non-positive -window or -width
-// are rejected before any simulation runs. Returns the process exit code.
+// thread. Unknown metric names, a non-positive -window, -width, -cores
+// or -scale, and -counters outside [3, 63] are rejected before any
+// simulation runs. Returns the process exit code.
 func runMetrics(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("limitctl metrics", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -89,6 +90,15 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	}
 	if *width <= 0 {
 		fmt.Fprintf(stderr, "limitctl metrics: -width must be positive (got %d)\n", *width)
+		return 2
+	}
+	if !checkRunFlags(stderr, "limitctl metrics", *cores, *scale) {
+		return 2
+	}
+	// LiMiT pins two slots and groups rotate through the rest; the PMU
+	// holds at most 63 counters.
+	if *counters <= 2 || *counters > 63 {
+		fmt.Fprintf(stderr, "limitctl metrics: -counters must be in [3, 63] (got %d)\n", *counters)
 		return 2
 	}
 

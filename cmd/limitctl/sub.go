@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 
 	"limitsim/internal/kernel"
 	"limitsim/internal/limit"
@@ -42,6 +43,13 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stderr, "limitctl trace: unknown -format %q (text, chrome, jsonl)\n", *format)
 		fs.Usage()
+		return 2
+	}
+	if !checkRunFlags(stderr, "limitctl trace", *cores, *scale) {
+		return 2
+	}
+	if *n <= 0 {
+		fmt.Fprintf(stderr, "limitctl trace: -n must be positive (got %d)\n", *n)
 		return 2
 	}
 
@@ -89,6 +97,9 @@ func runStats(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stderr, "limitctl stats: unknown -format %q (text, jsonl)\n", *format)
 		fs.Usage()
+		return 2
+	}
+	if !checkRunFlags(stderr, "limitctl stats", *cores, *scale) {
 		return 2
 	}
 
@@ -140,6 +151,21 @@ func runStats(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s on %d cores, method=%s: %s\n\n", app.Name, *cores, *method, res)
 	reg.Render(stdout)
 	return 0
+}
+
+// checkRunFlags rejects a simulated machine or workload size outside
+// its range with one line on stderr: -cores must be positive, -scale
+// positive and finite. It returns false when the caller must exit 2.
+func checkRunFlags(stderr io.Writer, cmd string, cores int, scale float64) bool {
+	switch {
+	case cores <= 0:
+		fmt.Fprintf(stderr, "%s: -cores must be positive (got %d)\n", cmd, cores)
+	case !(scale > 0) || math.IsInf(scale, 1):
+		fmt.Fprintf(stderr, "%s: -scale must be positive and finite (got %v)\n", cmd, scale)
+	default:
+		return true
+	}
+	return false
 }
 
 // runTraced runs a workload with a tracer of capacity n attached and

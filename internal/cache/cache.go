@@ -287,6 +287,51 @@ func (h *Hierarchy) accessSlow(addr uint64) Result {
 	return r
 }
 
+// AccessRange performs the accesses Access(base + i*64) for i = 0 to
+// n-1, in that order, and returns their summed cycles and the number of
+// them that missed L1, L2 and the LLC. Tag state and lastLine end
+// exactly as the per-line loop leaves them: lines are walked in order,
+// so a range longer than a level's set count evicts its own head just
+// as the loop does. The L1 fields are read once and the MRU way is
+// checked inline; L2 and the LLC are probed only on an L1 miss.
+func (h *Hierarchy) AccessRange(base uint64, n int) (cycles, missL1, missL2, missLLC uint64) {
+	l1 := h.l1
+	shift, setMask, tagShift, ways := h.l1Shift, l1.setMask, l1.tagShift, l1.ways
+	hitLat, last := h.l1Lat, h.lastLine
+	for i := 0; i < n; i++ {
+		addr := base + uint64(i)*64
+		line := addr >> shift
+		if line+1 == last {
+			cycles += hitLat
+			continue
+		}
+		last = line + 1
+		si := line & setMask
+		if ch := l1.chunks[si>>chunkSetBits]; ch != nil && ch[int(si&(chunkSets-1))*ways] == line>>tagShift+1 {
+			cycles += hitLat
+			continue
+		}
+		if l1.access(addr) {
+			cycles += hitLat
+			continue
+		}
+		missL1++
+		if h.l2.access(addr) {
+			cycles += h.l2.hitLat
+			continue
+		}
+		missL2++
+		if h.llc.access(addr) {
+			cycles += h.llc.hitLat
+			continue
+		}
+		missLLC++
+		cycles += uint64(h.memCycles)
+	}
+	h.lastLine = last
+	return
+}
+
 // FlushLine removes the line containing addr from every level. The
 // kernel uses it to approximate cache pollution from context switches.
 func (h *Hierarchy) FlushLine(addr uint64) {

@@ -353,3 +353,128 @@ func TestChunkRecyclingConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// rangeTwins returns two hierarchies brought to the same random
+// pre-state by a seeded Access/FlushLine/FlushAll sequence over span
+// bytes, so one can run AccessRange and the other the per-line loop.
+func rangeTwins(cfg HierarchyConfig, seed uint64, ops int, span uint64) (*Hierarchy, *Hierarchy) {
+	a, b := NewHierarchy(cfg), NewHierarchy(cfg)
+	rng := rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))
+	for i := 0; i < ops; i++ {
+		addr := rng.Uint64N(span)
+		switch p := rng.IntN(1000); {
+		case p < 2:
+			a.FlushAll()
+			b.FlushAll()
+		case p < 80:
+			a.FlushLine(addr)
+			b.FlushLine(addr)
+		default:
+			a.Access(addr)
+			b.Access(addr)
+		}
+	}
+	return a, b
+}
+
+// checkAccessRange runs AccessRange(base, n) on h and the loop it
+// replaces on twin, then requires equal sums, equal tag chunks (nil or
+// not, and every way) at every level, and equal lastLine.
+func checkAccessRange(h, twin *Hierarchy, base uint64, n int) error {
+	var want [4]uint64
+	for i := 0; i < n; i++ {
+		r := twin.Access(base + uint64(i)*64)
+		want[0] += r.Cycles
+		for j, m := range []bool{r.MissL1, r.MissL2, r.MissLLC} {
+			if m {
+				want[j+1]++
+			}
+		}
+	}
+	var got [4]uint64
+	got[0], got[1], got[2], got[3] = h.AccessRange(base, n)
+	if got != want {
+		return fmt.Errorf("AccessRange(%#x, %d) = cycles/L1/L2/LLC %v, per-line loop %v", base, n, got, want)
+	}
+	if h.lastLine != twin.lastLine {
+		return fmt.Errorf("AccessRange(%#x, %d): lastLine %#x, per-line loop %#x", base, n, h.lastLine, twin.lastLine)
+	}
+	for li, lv := range []*cacheLevel{h.l1, h.l2, h.llc} {
+		tw := []*cacheLevel{twin.l1, twin.l2, twin.llc}[li]
+		for ci, ch := range lv.chunks {
+			tch := tw.chunks[ci]
+			if (ch == nil) != (tch == nil) {
+				return fmt.Errorf("AccessRange(%#x, %d): level %v chunk %d materialized %v, per-line loop %v", base, n, Level(li), ci, ch != nil, tch != nil)
+			}
+			for w := range ch {
+				if ch[w] != tch[w] {
+					return fmt.Errorf("AccessRange(%#x, %d): level %v chunk %d way %d tag %#x, per-line loop %#x", base, n, Level(li), ci, w, ch[w], tch[w])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestAccessRangeMatchesPerLineLoop pins AccessRange to the per-line
+// Access loop it replaced, from random pre-states, for empty ranges,
+// unaligned bases, ranges crossing chunk boundaries and ranges up to
+// the SysIO maximum (1 MiB/256 + 4 lines), longer than the L1 and L2
+// set counts so the walk evicts its own head.
+func TestAccessRangeMatchesPerLineLoop(t *testing.T) {
+	for name, cfg := range map[string]HierarchyConfig{"default": DefaultConfig(), "small": smallConfig()} {
+		t.Run(name, func(t *testing.T) {
+			span := uint64(cfg.LLC.SizeBytes) * 2
+			chunkBytes := uint64(chunkSets * cfg.L1.LineBytes)
+			rng := rand.New(rand.NewPCG(7, 11))
+			for round := 0; round < 40; round++ {
+				h, twin := rangeTwins(cfg, uint64(round), 5_000, span)
+				// Several ranges per pre-state, each starting from what
+				// the previous one left.
+				last := func() uint64 { return (h.lastLine - 1) << h.l1Shift }
+				cases := []struct {
+					base func() uint64
+					n    int
+				}{
+					{func() uint64 { return rng.Uint64N(span) }, 0},
+					{func() uint64 { return rng.Uint64N(span) }, 1 + rng.IntN(64)},                 // unaligned
+					{func() uint64 { return rng.Uint64N(span/chunkBytes)*chunkBytes - 64*16 }, 32}, // crosses a chunk boundary
+					{func() uint64 { return rng.Uint64N(span) &^ 63 }, 1 + rng.IntN(4100)},         // up to the SysIO maximum
+					{func() uint64 { return 0xffff_8000_0000_0000 + uint64(round)*64 }, 4100},      // kernel region, full SysIO walk
+					{func() uint64 { return 0xffff_8000_0000_0000 + uint64(round)*64 + 64 }, 32},   // the next switch's slide
+					{last, 3}, // starts on lastLine
+					{func() uint64 { return last() - 64 }, 8}, // starts just before it
+				}
+				for _, c := range cases {
+					if err := checkAccessRange(h, twin, c.base(), c.n); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+				}
+				h.Release()
+				twin.Release()
+			}
+		})
+	}
+}
+
+// FuzzAccessRange searches for a pre-state and range on which
+// AccessRange and the per-line Access loop disagree.
+func FuzzAccessRange(f *testing.F) {
+	f.Add(uint64(1), uint16(500), uint64(0x1000), uint16(32), false)
+	f.Add(uint64(2), uint16(2000), uint64(0x3fc3), uint16(4100), false)
+	f.Add(uint64(3), uint16(0), uint64(0), uint16(0), true)
+	f.Add(uint64(4), uint16(3000), uint64(0xffff_8000_0000_0040), uint16(4100), true)
+	f.Add(uint64(5), uint16(800), ^uint64(0)-100, uint16(9), false)
+	f.Fuzz(func(t *testing.T, seed uint64, ops uint16, base uint64, n uint16, small bool) {
+		cfg := DefaultConfig()
+		if small {
+			cfg = smallConfig()
+		}
+		h, twin := rangeTwins(cfg, seed, int(ops%4096), uint64(cfg.LLC.SizeBytes)*2)
+		defer h.Release()
+		defer twin.Release()
+		if err := checkAccessRange(h, twin, base, int(n%4200)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -510,6 +510,12 @@ var runJob = runOne
 // to their pristine state first, so a run's behaviour cannot depend on
 // which runs the worker executed before it.
 func runOne(cfg Config, mix Mix, seed uint64, ws *campaignWorker, out *runOutcome) {
+	simulate(cfg, mix, seed, ws, out).Release()
+}
+
+// simulate is runOne without the final Release: it returns the
+// finished machine so tests can inspect its end state.
+func simulate(cfg Config, mix Mix, seed uint64, ws *campaignWorker, out *runOutcome) *machine.Machine {
 	feats := pmu.DefaultFeatures()
 	feats.WriteWidth = cfg.WriteWidth
 
@@ -622,7 +628,7 @@ func runOne(cfg Config, mix Mix, seed uint64, ws *campaignWorker, out *runOutcom
 	if ws.km != nil {
 		ws.agg.MustMerge(ws.reg)
 	}
-	m.Release()
+	return m
 }
 
 // Render writes the campaign table (and a violation detail section

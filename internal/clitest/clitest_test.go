@@ -117,6 +117,9 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl metrics empty selection", "limitctl", []string{"metrics", "-metric", ","}, 2},
 		{"limitctl metrics zero width", "limitctl", []string{"metrics", "-width", "0"}, 2},
 		{"limitctl metrics negative width", "limitctl", []string{"metrics", "-width", "-2"}, 2},
+		{"limitctl run zero cores", "limitctl", []string{"-cores", "0"}, 2},
+		{"limitctl run NaN scale", "limitctl", []string{"-scale", "NaN"}, 2},
+		{"limitctl metrics 64 counters", "limitctl", []string{"metrics", "-counters", "64"}, 2},
 
 		// Exit 1: runtime failures.
 		{"limitctl merge missing file", "limitctl", []string{"merge", filepath.Join(tmp, "absent.jsonl")}, 1},

@@ -104,34 +104,92 @@ func TestDispatchRebuildOnReconfigure(t *testing.T) {
 	}
 }
 
+// rescanWatchers derives every dispatch entry's watcher mask from
+// scratch: bit i wherever counter i's programming accepts (event,
+// ring), plus uncoreBit everywhere while an Uncore is attached.
+// Configure maintains the table incrementally and must always agree.
+func rescanWatchers(p *PMU) (w [2 * int(NumEvents)]uint64) {
+	for i, c := range p.counters {
+		for _, ring := range []Ring{RingUser, RingKernel} {
+			if c.cfg.Event < NumEvents && c.cfg.counts(ring) {
+				w[int(ring)*int(NumEvents)+int(c.cfg.Event)] |= 1 << uint(i)
+			}
+		}
+	}
+	if p.uncore != nil {
+		for i := range w {
+			w[i] |= uncoreBit
+		}
+	}
+	return w
+}
+
 // TestDispatchEquivalenceRandomized drives the real PMU and the naive
 // reference through an identical random stream of Configure / Write /
-// AddEvent operations — the same shapes the kernel's save/restore,
-// overflow and multiplexing rotation paths produce — and demands
-// identical values, pending masks and ground truth at every step.
+// AddEvent / AttachUncore operations — the same shapes the kernel's
+// save/restore, overflow, multiplexing rotation and socket paths
+// produce — and demands identical values, pending masks, uncore totals
+// and ground truth at every step. Programming includes event selectors
+// past NumEvents and in-place enable and ring-filter flips of one
+// slot; after every Configure and AttachUncore the dispatch table must
+// equal a from-scratch rescan of all counters.
 func TestDispatchEquivalenceRandomized(t *testing.T) {
-	feats := DefaultFeatures()
+	wide := DefaultFeatures()
+	wide.NumCounters = 63 // highest counter bit sits next to uncoreBit
+	for name, feats := range map[string]Features{"default": DefaultFeatures(), "63 counters": wide} {
+		t.Run(name, func(t *testing.T) { dispatchEquivalence(t, feats) })
+	}
+}
+
+func dispatchEquivalence(t *testing.T, feats Features) {
 	p := New(feats)
 	np := newNaive(feats)
 	rng := rand.New(rand.NewSource(0xd15c)) // deterministic
+	u := NewUncore()
+	var npUncore [NumEvents]uint64
+	attached := false
 
 	randCfg := func() CounterConfig {
 		return CounterConfig{
-			Event:       Event(rng.Intn(int(NumEvents))),
+			Event:       Event(rng.Intn(int(NumEvents) + 3)), // some past NumEvents
 			CountUser:   rng.Intn(2) == 0,
 			CountKernel: rng.Intn(2) == 0,
 			Enabled:     rng.Intn(4) != 0,
 			OverflowBit: []int{-1, 4, 10, 31}[rng.Intn(4)],
 		}
 	}
+	configure := func(step, idx int, cfg CounterConfig) {
+		p.Configure(idx, cfg)
+		np.configure(idx, cfg)
+		if want := rescanWatchers(p); p.watcherTable() != want {
+			t.Fatalf("step %d: Configure(%d, %+v) left the dispatch table %x, rescan gives %x", step, idx, cfg, p.watcherTable(), want)
+		}
+	}
 
 	for step := 0; step < 20_000; step++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(14) {
 		case 0, 1: // reprogram (context switch in / rotation)
-			idx, cfg := rng.Intn(feats.NumCounters), randCfg()
-			p.Configure(idx, cfg)
-			np.configure(idx, cfg)
-		case 2: // restore a saved value
+			configure(step, rng.Intn(feats.NumCounters), randCfg())
+		case 2: // toggle enable on the same slot (save disables, restore enables)
+			idx := rng.Intn(feats.NumCounters)
+			cfg := p.Config(idx)
+			cfg.Enabled = !cfg.Enabled
+			configure(step, idx, cfg)
+		case 3: // change the ring filter on the same slot
+			idx := rng.Intn(feats.NumCounters)
+			cfg := p.Config(idx)
+			cfg.CountUser, cfg.CountKernel = rng.Intn(2) == 0, rng.Intn(2) == 0
+			configure(step, idx, cfg)
+		case 4: // attach or detach the socket block
+			if attached = rng.Intn(2) == 0; attached {
+				p.AttachUncore(u)
+			} else {
+				p.AttachUncore(nil)
+			}
+			if want := rescanWatchers(p); p.watcherTable() != want {
+				t.Fatalf("step %d: AttachUncore left the dispatch table %x, rescan gives %x", step, p.watcherTable(), want)
+			}
+		case 5: // restore a saved value
 			idx, v := rng.Intn(feats.NumCounters), rng.Uint64()>>uint(rng.Intn(64))
 			p.Write(idx, v)
 			np.write(idx, v, feats.WriteWidth)
@@ -144,6 +202,9 @@ func TestDispatchEquivalenceRandomized(t *testing.T) {
 			}
 			p.AddEvent(ring, ev, n)
 			np.addEvent(ring, ev, n)
+			if attached {
+				npUncore[ev] += n
+			}
 		}
 
 		for i := 0; i < feats.NumCounters; i++ {
@@ -156,10 +217,21 @@ func TestDispatchEquivalenceRandomized(t *testing.T) {
 		}
 	}
 	for ev := Event(0); ev < NumEvents; ev++ {
+		if u.Value(ev) != npUncore[ev] {
+			t.Fatalf("uncore %v diverged: %d, naive %d", ev, u.Value(ev), npUncore[ev])
+		}
 		for ring := Ring(0); ring < 2; ring++ {
 			if p.GroundTruth(ev, ring) != np.truth[ev][ring] {
 				t.Fatalf("ground truth diverged for %v/%v", ev, ring)
 			}
 		}
 	}
+}
+
+// watcherTable copies out the dispatch table's watcher masks.
+func (p *PMU) watcherTable() (w [2 * int(NumEvents)]uint64) {
+	for i, e := range p.events {
+		w[i] = e.watchers
+	}
+	return w
 }

@@ -202,7 +202,7 @@ type PMU struct {
 	//
 	// watchers is the bitmask of enabled counters whose event selector
 	// and ring filter accept (ev, ring), plus uncoreBit when a socket
-	// counter block is attached. It is rebuilt by Configure — the only
+	// counter block is attached. It is updated by Configure — the only
 	// place a counter's programming changes — so AddEvent's common
 	// case ("no counter watches this event") is a single indexed
 	// entry: one add, one load, one branch, instead of a scan over
@@ -289,32 +289,28 @@ func (p *PMU) Configure(idx int, cfg CounterConfig) {
 	p.check(idx)
 	p.syncRetire() // deferred retirements precede the reprogramming
 	c := &p.counters[idx]
+	// Counter idx's dispatch bit can sit only in the two (event, ring)
+	// entries of its current event, so moving it touches at most four
+	// entries.
+	bit := uint64(1) << uint(idx)
+	if ev := c.cfg.Event; ev < NumEvents {
+		p.events[ev].watchers &^= bit
+		p.events[NumEvents+ev].watchers &^= bit
+	}
 	c.cfg = cfg
 	if ob := cfg.OverflowBit; ob >= 0 && ob < 64 {
 		c.threshold = 1 << uint(ob)
 	} else {
 		c.threshold = 0
 	}
-	p.pending &^= 1 << uint(idx)
-	p.rebuildDispatch(idx)
-}
-
-// rebuildDispatch re-derives counter idx's dispatch-table bits from
-// its current programming.
-func (p *PMU) rebuildDispatch(idx int) {
-	bit := uint64(1) << uint(idx)
-	for i := range p.events {
-		p.events[i].watchers &^= bit
-	}
-	cfg := p.counters[idx].cfg
-	if !cfg.Enabled || int(cfg.Event) >= int(NumEvents) {
-		return
-	}
-	if cfg.CountUser {
-		p.events[cfg.Event].watchers |= bit
-	}
-	if cfg.CountKernel {
-		p.events[int(NumEvents)+int(cfg.Event)].watchers |= bit
+	p.pending &^= bit
+	if ev := cfg.Event; cfg.Enabled && ev < NumEvents {
+		if cfg.CountUser {
+			p.events[ev].watchers |= bit
+		}
+		if cfg.CountKernel {
+			p.events[NumEvents+ev].watchers |= bit
+		}
 	}
 }
 
