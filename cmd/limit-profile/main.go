@@ -122,6 +122,7 @@ func runCycles(name string, ins workloads.Instrumentation, scale float64, cores 
 		return nil, 0, 2
 	}
 	m := machine.New(machine.Config{NumCores: cores})
+	defer m.Release()
 	app.Launch(m)
 	res := m.Run(machine.RunLimits{})
 	if res.Err != nil {
@@ -150,6 +151,7 @@ func calibrateStride(name string, spec profile.Spec, scale float64, cores, paral
 	cycles, err := runner.Map(runner.Config{Jobs: len(arms), Parallel: parallel}, func(j, _ int) (uint64, error) {
 		app := buildWorkload(name, arms[j], calScale)
 		m := machine.New(machine.Config{NumCores: cores})
+		defer m.Release()
 		app.Launch(m)
 		res := m.Run(machine.RunLimits{})
 		if res.Err != nil {

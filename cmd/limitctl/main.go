@@ -42,8 +42,9 @@
 // Unknown subcommands, unknown -format values, unknown -metric names,
 // a non-positive -window, merge with no input files, and report with
 // no inputs exit 2 with usage. A non-positive -cores, a -scale that is
-// not positive and finite, a non-positive trace -n and metrics
-// -counters outside [3, 63] exit 2 with one line, before simulating.
+// not positive and finite, a non-positive trace -n, metrics -counters
+// outside [3, 63] and a metrics -width wider than -counters exit 2
+// with one line, before simulating.
 package main
 
 import (
@@ -261,6 +262,7 @@ func main() {
 	}
 
 	m := machine.New(machine.Config{NumCores: *cores})
+	defer m.Release()
 	var traceBuf *trace.Buffer
 	if *traceN > 0 {
 		traceBuf = trace.NewBuffer(*traceN)

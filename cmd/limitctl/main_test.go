@@ -172,8 +172,10 @@ func TestUnknownAppAndMethodExit2(t *testing.T) {
 // TestOutOfRangeFlagsExit2 pins the strict-input rule for the
 // simulating subcommands: a machine or workload size outside its range
 // exits 2 with one stderr line naming the flag, and nothing is
-// simulated or written to stdout. -rotation 0 is the kernel default
-// and -counters 3 the smallest bank with a rotating slot; both run.
+// simulated or written to stdout. A -width whose groups are wider
+// than -counters would open no group, so it exits 2 as well.
+// -rotation 0 is the kernel default and -counters 3 the smallest bank
+// with a rotating slot; both run, the latter with groups of at most 3.
 func TestOutOfRangeFlagsExit2(t *testing.T) {
 	subs := map[string]func(args []string, stdout, stderr io.Writer) int{
 		"trace": runTrace, "stats": runStats, "metrics": runMetrics,
@@ -187,6 +189,9 @@ func TestOutOfRangeFlagsExit2(t *testing.T) {
 		{"metrics", []string{"-counters", "2"}, "-counters"},
 		{"metrics", []string{"-counters", "0"}, "-counters"},
 		{"metrics", []string{"-counters", "-1"}, "-counters"},
+		{"metrics", []string{"-counters", "3", "-width", "4"}, "-width"},
+		{"metrics", []string{"-counters", "3"}, "-width"}, // default width 4
+		{"metrics", []string{"-counters", "6", "-width", "8"}, "-width"},
 		{"metrics", []string{"-cores", "0"}, "-cores"},
 		{"metrics", []string{"-scale", "NaN"}, "-scale"},
 		{"metrics", []string{"-scale", "0"}, "-scale"},
@@ -216,7 +221,8 @@ func TestOutOfRangeFlagsExit2(t *testing.T) {
 		}
 	}
 	for _, args := range [][]string{
-		{"-app", "forkjoin", "-scale", "0.05", "-counters", "3", "-format", "frames"},
+		{"-app", "forkjoin", "-scale", "0.05", "-counters", "3", "-width", "3", "-format", "frames"},
+		{"-app", "forkjoin", "-scale", "0.05", "-counters", "17", "-width", "64", "-format", "frames"}, // one 16-event group
 		{"-app", "forkjoin", "-scale", "0.05", "-counters", "63", "-rotation", "0", "-format", "frames"},
 	} {
 		run(t, runMetrics, args...)

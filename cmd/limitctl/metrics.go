@@ -26,8 +26,9 @@ import (
 // round-robin across guests, and stamps every frame with its tenant
 // id; -split tenant|thread keys the series per guest or per worker
 // thread. Unknown metric names, a non-positive -window, -width, -cores
-// or -scale, and -counters outside [3, 63] are rejected before any
-// simulation runs. Returns the process exit code.
+// or -scale, -counters outside [3, 63] and a -width whose groups are
+// wider than -counters are rejected before any simulation runs.
+// Returns the process exit code.
 func runMetrics(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("limitctl metrics", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -101,6 +102,13 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "limitctl metrics: -counters must be in [3, 63] (got %d)\n", *counters)
 		return 2
 	}
+	// The kernel refuses to open a group wider than the PMU, so such a
+	// width would run and silently report nothing for its groups.
+	groups := workloads.DefaultMuxGroups(*width)
+	if len(groups[0]) > *counters {
+		fmt.Fprintf(stderr, "limitctl metrics: -width must be at most -counters (%d): a group needs one counter per event (got %d)\n", *counters, *width)
+		return 2
+	}
 
 	// Resolve the metric selection before running anything: a typo must
 	// cost a usage message, not a simulation.
@@ -132,7 +140,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	}
 
 	ins := workloads.LimitInstr()
-	ins.MuxGroups = workloads.DefaultMuxGroups(*width)
+	ins.MuxGroups = groups
 	app := buildApp(*appName, ins, *scale)
 	if app == nil {
 		fmt.Fprintf(stderr, "limitctl metrics: unknown app %q\n", *appName)
@@ -145,6 +153,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	kcfg.MuxQuantum = *rotation
 	kcfg.Tenants = *tenants
 	m := machine.New(machine.Config{NumCores: *cores, PMU: f, Kernel: kcfg, Uncore: *tenants > 1})
+	defer m.Release()
 	threads := app.Launch(m)
 	if *tenants > 1 {
 		for i, t := range threads {

@@ -119,6 +119,7 @@ func runStats(args []string, stdout, stderr io.Writer) int {
 	lm := limit.NewMetrics(reg)
 
 	m := machine.New(machine.Config{NumCores: *cores})
+	defer m.Release()
 	m.Kern.SetMetrics(km)
 	limit.SetMetrics(lm)
 	defer limit.SetMetrics(nil)
@@ -182,6 +183,7 @@ func runTraced(appName, method string, cores int, scale float64, n int, period u
 		return nil, nil, 2
 	}
 	m := machine.New(machine.Config{NumCores: cores})
+	defer m.Release()
 	buf := trace.NewBuffer(n)
 	m.Kern.SetTracer(buf)
 	app.Launch(m)

@@ -5,6 +5,8 @@
 // disagree.
 package branch
 
+import "limitsim/internal/freelist"
+
 // Predictor predicts branch directions and learns from outcomes.
 type Predictor interface {
 	// Predict returns the predicted direction for the branch at pc.
@@ -58,7 +60,21 @@ func NewGshare(bits uint) *Gshare {
 	if hl > 16 {
 		hl = 16
 	}
-	return &Gshare{table: make([]uint8, n), mask: n - 1, histLen: hl}
+	return &Gshare{table: freeTables.Take(int(n)), mask: n - 1, histLen: hl}
+}
+
+// freeTables recycles gshare tables across predictors, filled by
+// Release. A table zeroed on take holds the same counters as a fresh
+// one.
+var freeTables freelist.List[uint8]
+
+// Release returns the predictor's table to the free list for later
+// predictors to reuse. The predictor must not be used afterwards: its
+// table is dropped, so any later Predict, Update or PredictUpdate
+// panics. Releasing twice is a no-op.
+func (p *Gshare) Release() {
+	freeTables.Put(p.table)
+	p.table = nil
 }
 
 func (p *Gshare) index(pc uint64) uint64 { return (pc ^ p.history) & p.mask }

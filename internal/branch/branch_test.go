@@ -84,3 +84,49 @@ func TestAlwaysTaken(t *testing.T) {
 	}
 	p.Update(0, false) // must not panic
 }
+
+// TestReleasedGsharePanics pins the Release contract: every later
+// prediction fails loudly, and a second Release is a no-op.
+func TestReleasedGsharePanics(t *testing.T) {
+	for name, use := range map[string]func(p *Gshare){
+		"PredictUpdate": func(p *Gshare) { p.PredictUpdate(0x40, true) },
+		"Predict":       func(p *Gshare) { p.Predict(0x40) },
+		"Update":        func(p *Gshare) { p.Update(0x40, false) },
+	} {
+		p := NewGshare(10)
+		p.PredictUpdate(0x40, true)
+		p.Release()
+		p.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic", name)
+				}
+			}()
+			use(p)
+		}()
+	}
+}
+
+// TestReleaseRecyclesTable checks that a released table is reused by
+// exactly one later predictor and reads as fresh there.
+func TestReleaseRecyclesTable(t *testing.T) {
+	old := NewGshare(10)
+	for i := range old.table {
+		old.table[i] = 3 // strongly taken
+	}
+	table := &old.table[0]
+	old.Release()
+	a, b := NewGshare(10), NewGshare(10)
+	if &a.table[0] != table && &b.table[0] != table {
+		t.Error("released table was not reused")
+	}
+	if &a.table[0] == &b.table[0] {
+		t.Fatal("two predictors share one table")
+	}
+	for _, p := range []*Gshare{a, b} {
+		if p.Predict(0x40) {
+			t.Error("recycled predictor predicts its previous owner's training")
+		}
+	}
+}

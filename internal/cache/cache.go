@@ -10,7 +10,7 @@
 // event *counts*, not on detailed memory-system timing.
 package cache
 
-import "sync"
+import "limitsim/internal/freelist"
 
 // Level identifies a cache level for miss reporting.
 type Level uint8
@@ -64,31 +64,10 @@ const (
 	chunkSets    = 1 << chunkSetBits
 )
 
-// freeChunks recycles tag chunks across hierarchies: one process-wide
-// LIFO per chunk length, filled by FlushAll and Release and drained by
-// first touches. A chunk is zeroed when taken, and zero tags mean
-// invalid, so a recycled chunk is indistinguishable from a fresh one.
-// The lists never shrink: they keep the most chunks ever free at once.
-var freeChunks = struct {
-	mu    sync.Mutex
-	byLen map[int][][]uint64
-}{byLen: make(map[int][][]uint64)}
-
-// takeChunk returns a zeroed chunk of n tags, recycled when one is free.
-func takeChunk(n int) []uint64 {
-	freeChunks.mu.Lock()
-	l := freeChunks.byLen[n]
-	if k := len(l) - 1; k >= 0 {
-		ch := l[k]
-		l[k] = nil
-		freeChunks.byLen[n] = l[:k]
-		freeChunks.mu.Unlock()
-		clear(ch)
-		return ch
-	}
-	freeChunks.mu.Unlock()
-	return make([]uint64, n)
-}
+// freeChunks recycles tag chunks across hierarchies, filled by FlushAll
+// and Release and drained by first touches. Zero tags mean invalid, so
+// a chunk zeroed on take reads as freshly built.
+var freeChunks freelist.List[uint64]
 
 // cacheLevel is a single set-associative cache. Tag state lives in
 // flat per-chunk arrays: set s occupies the ways
@@ -145,7 +124,7 @@ func log2(v uint64) uint {
 func (c *cacheLevel) setWays(si uint64) []uint64 {
 	ch := c.chunks[si>>chunkSetBits]
 	if ch == nil {
-		ch = takeChunk(c.chunkLen)
+		ch = freeChunks.Take(c.chunkLen)
 		c.chunks[si>>chunkSetBits] = ch
 	}
 	lo := (int(si) & (chunkSets - 1)) * c.ways
@@ -179,16 +158,8 @@ func (c *cacheLevel) access(addr uint64) bool {
 // recycle hands every materialized chunk to the free list and leaves
 // its slot nil, so the level reads as freshly built.
 func (c *cacheLevel) recycle() {
-	freeChunks.mu.Lock()
-	l := freeChunks.byLen[c.chunkLen]
-	for i, ch := range c.chunks {
-		if ch != nil {
-			l = append(l, ch)
-			c.chunks[i] = nil
-		}
-	}
-	freeChunks.byLen[c.chunkLen] = l
-	freeChunks.mu.Unlock()
+	freeChunks.Put(c.chunks...)
+	clear(c.chunks)
 }
 
 // flushLine invalidates the line containing addr if present.

@@ -120,6 +120,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl run zero cores", "limitctl", []string{"-cores", "0"}, 2},
 		{"limitctl run NaN scale", "limitctl", []string{"-scale", "NaN"}, 2},
 		{"limitctl metrics 64 counters", "limitctl", []string{"metrics", "-counters", "64"}, 2},
+		{"limitctl metrics width over counters", "limitctl", []string{"metrics", "-counters", "3", "-width", "4"}, 2},
 
 		// Exit 1: runtime failures.
 		{"limitctl merge missing file", "limitctl", []string{"merge", filepath.Join(tmp, "absent.jsonl")}, 1},

@@ -130,6 +130,18 @@ func NewCore(id int, feats pmu.Features) *Core {
 	}
 }
 
+// Release hands the core's host tables — cache tag chunks, the TLB
+// table and a gshare predictor's table — back for later cores to
+// reuse. The core must not execute afterwards: any later memory access
+// or branch panics. Its PMU, clock and counts stay readable.
+func (c *Core) Release() {
+	c.Caches.Release()
+	c.TLB.Release()
+	if g, ok := c.Pred.(*branch.Gshare); ok {
+		g.Release()
+	}
+}
+
 // KernelWork models the kernel executing on this core for the given
 // number of cycles, retiring approximately 0.8 instructions per cycle.
 // Events land in the kernel ring. The kernel calls this for every

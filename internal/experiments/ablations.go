@@ -66,6 +66,7 @@ func a1run(mode kernel.OverflowMode, writeWidth, iters int) (cycles, folds, sign
 	e.EmitFinish()
 
 	m := machine.New(machine.Config{NumCores: 1, PMU: feats, Kernel: kcfg})
+	defer m.Release()
 	proc := m.Kern.NewProcess(b.MustBuild(), space)
 	m.Kern.Spawn(proc, "a1", 0, 3)
 	res := m.Run(machine.RunLimits{MaxSteps: runSteps})
@@ -200,6 +201,7 @@ func RunAblationQuantum(s Scale) (*A2Result, error) {
 		e.EmitFinish()
 
 		m := machine.New(machine.Config{NumCores: 1, Kernel: kcfg})
+		defer m.Release()
 		proc := m.Kern.NewProcess(b.MustBuild(), space)
 		t0 := m.Kern.Spawn(proc, "meas", 0, 5)
 		t0.SetReg(isa.R14, 0)

@@ -45,6 +45,7 @@ func RunFig9(s Scale) (*F9Result, error) {
 	run := func(name string, withApache bool) error {
 		mcfg := machine.Config{NumCores: 4}
 		m := machine.New(mcfg)
+		defer m.Release()
 
 		mysql := workloads.BuildMySQL(scaleMySQL(workloads.DefaultMySQL(), s), workloads.LimitInstr())
 		mysqlThreads := mysql.Launch(m)

@@ -117,6 +117,7 @@ func runM2Cell(c m2Cell, s Scale) (M2Row, error) {
 			MuxGroups: groups,
 		})
 		m = machine.New(m2Machine(2, c.rotation))
+		defer m.Release()
 		proc := m.Kern.NewProcess(w.Prog, w.Space)
 		for mt := 0; mt < len(w.Entries); mt++ {
 			mgr := m.Kern.Spawn(proc, "churn-mgr", w.Entries[mt], 7+uint64(mt))

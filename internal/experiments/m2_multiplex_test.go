@@ -60,3 +60,24 @@ func mapsKeys(m map[string][]M2Row) []string {
 	}
 	return out
 }
+
+// TestM2ParallelDeterminism runs the multiplexing sweep serially and on
+// four workers, whose cells release their machines into the shared
+// free lists while others take from them; run it under -race. Both
+// must render byte-identical tables.
+func TestM2ParallelDeterminism(t *testing.T) {
+	render := func(workers int) string {
+		SetParallel(workers)
+		defer SetParallel(1)
+		r, err := RunM2(Quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		r.Render(&b)
+		return b.String()
+	}
+	if serial, par := render(1), render(4); serial != par {
+		t.Errorf("RunM2 at 4 workers differs from serial:\n%s\nvs\n%s", par, serial)
+	}
+}

@@ -113,6 +113,7 @@ func RunSelfMeasure(s Scale) (*SelfResult, error) {
 
 	reg := telemetry.NewRegistry()
 	m := machine.New(machine.Config{NumCores: 1})
+	defer m.Release()
 	m.Kern.SetMetrics(kernel.NewMetrics(reg))
 	proc := m.Kern.NewProcess(prog, space)
 	m.Kern.Spawn(proc, "self", 0, 7)

@@ -112,6 +112,7 @@ func measureVariant(v ReadVariant, iters int) (float64, int, error) {
 	run := func(withRead bool) (uint64, error) {
 		prog, space := build(withRead)
 		m := machine.New(machine.Config{NumCores: 1, PMU: feats})
+		defer m.Release()
 		proc := m.Kern.NewProcess(prog, space)
 		m.Kern.Spawn(proc, "t2", 0, 9)
 		res := m.Run(machine.RunLimits{MaxSteps: runSteps})

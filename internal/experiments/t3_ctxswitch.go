@@ -74,6 +74,7 @@ func measureSwitch(nCounters int, perfStyle, hwVirt bool, rounds int) (float64, 
 	}
 	prog, space := buildYieldPong(nCounters, perfStyle, rounds)
 	m := machine.New(machine.Config{NumCores: 1, PMU: feats})
+	defer m.Release()
 	proc := m.Kern.NewProcess(prog, space)
 	m.Kern.Spawn(proc, "ping", 0, 21)
 	m.Kern.Spawn(proc, "pong", 0, 22)

@@ -66,6 +66,7 @@ func RunTable5(s Scale) (*T5Result, error) {
 		prog := b.MustBuild()
 
 		m := machine.New(machine.Config{NumCores: 1, Kernel: kcfg})
+		defer m.Release()
 		proc := m.Kern.NewProcess(prog, nil)
 		th := m.Kern.Spawn(proc, "mux", 0, 31)
 		m.Kern.Spawn(proc, "rival", 0, 32)

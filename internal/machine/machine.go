@@ -62,6 +62,8 @@ type Machine struct {
 	// Uncore is the socket-level shared counter block when
 	// Config.Uncore was set (nil otherwise).
 	Uncore *pmu.Uncore
+
+	released bool
 }
 
 // New builds a machine from cfg, applying defaults for zero fields.
@@ -178,6 +180,9 @@ func (e *FaultError) DumpTrace(w io.Writer, max int) {
 // Run executes until all threads finish, a limit is hit, or the system
 // deadlocks.
 func (m *Machine) Run(limits RunLimits) RunResult {
+	if m.released {
+		panic("machine: Run after Release")
+	}
 	const never = ^uint64(0)
 	var res RunResult
 	// Cached next-action time per core (never = no runnable work). A
@@ -412,13 +417,15 @@ func (m *Machine) MustRun(limits RunLimits) RunResult {
 	return res
 }
 
-// Release hands every core's cache tag memory back for later machines
-// to reuse. Call it after the last Run: the machine must not run again.
-// Only cache state goes away; the kernel, the PMUs and ground-truth
-// reads stay valid.
+// Release hands every core's host tables — cache tag chunks, TLB and
+// gshare tables — back for later machines to reuse. Call it after the
+// last Run: any later Run panics, so two machines never share a
+// recycled table. Only those tables go away; the kernel, the PMUs and
+// ground-truth reads stay valid. Releasing twice is a no-op.
 func (m *Machine) Release() {
+	m.released = true
 	for _, c := range m.Cores {
-		c.Caches.Release()
+		c.Release()
 	}
 }
 

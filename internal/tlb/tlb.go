@@ -8,6 +8,8 @@
 // to the counters, not modeled in detail.
 package tlb
 
+import "limitsim/internal/freelist"
+
 // Result describes one translation.
 type Result struct {
 	// Cycles is the added translation latency (0 on an L1 hit).
@@ -42,19 +44,24 @@ func DefaultConfig() Config {
 
 // TLB is one core's data TLB. Entries store page+1 so that zero means
 // invalid; both levels keep ways in LRU order (index 0 = MRU). The L2
-// is one flat array — set s occupies [s*ways, (s+1)*ways) — because
-// TLBs are rebuilt with every machine the worker pools construct and
-// per-set slice allocations add up.
+// is one flat array — set s occupies [s*ways, (s+1)*ways) — and both
+// levels share one table from the free list, l1 its head and l2 its
+// tail, because TLBs are rebuilt with every machine the worker pools
+// construct.
 type TLB struct {
 	cfg      Config
 	pageBits uint // cfg.PageBits, hoisted for the Translate fast path
 
-	l1 []uint64
+	l1 []uint64 // capacity spans the whole table, l2 included
 
 	l2Sets int
 	l2Ways int
 	l2     []uint64
 }
+
+// freeTables recycles TLB tables across TLBs, filled by Release. Zero
+// entries mean invalid, so a table zeroed on take reads as fresh.
+var freeTables freelist.List[uint64]
 
 // New builds a TLB.
 func New(cfg Config) *TLB {
@@ -65,13 +72,14 @@ func New(cfg Config) *TLB {
 	for sets&(sets-1) != 0 {
 		sets--
 	}
+	table := freeTables.Take(cfg.L1Entries + sets*cfg.L2Ways)
 	return &TLB{
 		cfg:      cfg,
 		pageBits: cfg.PageBits,
-		l1:       make([]uint64, cfg.L1Entries),
+		l1:       table[:cfg.L1Entries],
 		l2Sets:   sets,
 		l2Ways:   cfg.L2Ways,
-		l2:       make([]uint64, sets*cfg.L2Ways),
+		l2:       table[cfg.L1Entries:],
 	}
 }
 
@@ -157,4 +165,12 @@ func (t *TLB) FlushAll() {
 	for i := range t.l2 {
 		t.l2[i] = 0
 	}
+}
+
+// Release returns the TLB's table to the free list for later TLBs to
+// reuse. The TLB must not be used afterwards: its table is dropped, so
+// any later Translate panics. Releasing twice is a no-op.
+func (t *TLB) Release() {
+	freeTables.Put(t.l1[:cap(t.l1)])
+	t.l1, t.l2 = nil, nil
 }

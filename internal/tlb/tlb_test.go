@@ -84,3 +84,43 @@ func TestL1LRUOrder(t *testing.T) {
 		t.Error("b (LRU) should have been evicted")
 	}
 }
+
+// TestReleasedTLBPanics pins the Release contract: every later
+// Translate fails loudly, including one for the page last translated.
+func TestReleasedTLBPanics(t *testing.T) {
+	for name, addr := range map[string]uint64{"same page": 0x5000, "other page": 0x9_0000} {
+		tl := NewDefault()
+		tl.Translate(0x5000)
+		tl.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Translate (%s) after Release did not panic", name)
+				}
+			}()
+			tl.Translate(addr)
+		}()
+	}
+}
+
+// TestReleaseRecyclesTable checks that a released table, released
+// twice, is reused by exactly one later TLB and reads as fresh there.
+func TestReleaseRecyclesTable(t *testing.T) {
+	old := NewDefault()
+	old.Translate(0x5000)
+	table := &old.l1[0]
+	old.Release()
+	old.Release()
+	a, b := NewDefault(), NewDefault()
+	if &a.l1[0] != table && &b.l1[0] != table {
+		t.Error("released table was not reused")
+	}
+	if &a.l1[0] == &b.l1[0] {
+		t.Fatal("two TLBs share one table")
+	}
+	for _, tl := range []*TLB{a, b} {
+		if r := tl.Translate(0x5000); !r.MissL1 || !r.MissL2 {
+			t.Error("recycled TLB hit a page its previous owner held")
+		}
+	}
+}

@@ -214,9 +214,13 @@ func (a *App) Launch(m *machine.Machine) []*kernel.Thread {
 	return threads
 }
 
-// Run launches the app on a fresh machine and executes to completion.
+// Run launches the app on a fresh machine, executes to completion and
+// releases the machine (machine.Machine.Release). The returned machine
+// is for reading kernel, PMU and ground-truth state only: it cannot
+// run again.
 func (a *App) Run(mcfg machine.Config, limits machine.RunLimits) (*machine.Machine, machine.RunResult, []*kernel.Thread) {
 	m := machine.New(mcfg)
+	defer m.Release()
 	threads := a.Launch(m)
 	res := m.Run(limits)
 	return m, res, threads
