@@ -10,7 +10,11 @@
 // event *counts*, not on detailed memory-system timing.
 package cache
 
-import "limitsim/internal/freelist"
+import (
+	"math/bits"
+
+	"limitsim/internal/freelist"
+)
 
 // Level identifies a cache level for miss reporting.
 type Level uint8
@@ -162,18 +166,25 @@ func (c *cacheLevel) recycle() {
 	clear(c.chunks)
 }
 
-// flushLine invalidates the line containing addr if present.
-func (c *cacheLevel) flushLine(addr uint64) {
-	line := addr >> c.lineShift
-	if c.chunks[(line&c.setMask)>>chunkSetBits] == nil {
-		return
-	}
-	tag := (line >> c.tagShift) + 1
-	ws := c.setWays(line & c.setMask)
-	for i, t := range ws {
-		if t == tag {
-			ws[i] = 0
-			return
+// install puts lines [lo, hi), which the level does not hold, at the MRU
+// way of their sets in order, exactly as a miss on each would: no tag
+// search, and one chunk lookup per run of consecutive sets. The lines
+// must be this level's own line numbers.
+func (c *cacheLevel) install(lo, hi uint64) {
+	perChunk := uint64(c.chunkLen / c.ways)
+	for line := lo; line < hi; {
+		si := line & c.setMask
+		ch := c.chunks[si>>chunkSetBits]
+		if ch == nil {
+			ch = freeChunks.Take(c.chunkLen)
+			c.chunks[si>>chunkSetBits] = ch
+		}
+		off := si & (chunkSets - 1)
+		end := min(hi, line+perChunk-off)
+		for w := int(off) * c.ways; line < end; line, w = line+1, w+c.ways {
+			ws := ch[w : w+c.ways : w+c.ways]
+			copy(ws[1:], ws)
+			ws[0] = line>>c.tagShift + 1
 		}
 	}
 }
@@ -191,6 +202,25 @@ type Hierarchy struct {
 	lastLine uint64
 	l1Shift  uint
 	l1Lat    uint64
+
+	// AccessRange's shortcuts, used only when every level has
+	// rangeStride-byte lines (uniform), so one line number names the
+	// same line at every level.
+	//
+	// high is one past the highest line ever accessed. Tags enter a
+	// level only through an access, so no level holds a line at or
+	// above it.
+	//
+	// [rLo, rHi) is the last walk no longer than L1's set count, when
+	// that count is at most 64 (rangeSets, else zero): each of its
+	// lines sat at its set's MRU way when the walk ended. Bit s of
+	// changed marks L1 set s as possibly altered since then; a line of
+	// the range in an unmarked set is still an MRU hit.
+	uniform   bool
+	high      uint64
+	rLo, rHi  uint64
+	changed   uint64
+	rangeSets int
 }
 
 // HierarchyConfig configures a Hierarchy.
@@ -221,6 +251,10 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 	h.l1Shift = h.l1.lineShift
 	h.l1Lat = h.l1.hitLat
+	h.uniform = cfg.L1.LineBytes == rangeStride && cfg.L2.LineBytes == rangeStride && cfg.LLC.LineBytes == rangeStride
+	if nsets := int(h.l1.setMask) + 1; h.uniform && nsets <= 64 {
+		h.rangeSets = nsets
+	}
 	return h
 }
 
@@ -239,7 +273,10 @@ func (h *Hierarchy) Access(addr uint64) Result {
 }
 
 func (h *Hierarchy) accessSlow(addr uint64) Result {
-	h.lastLine = addr>>h.l1Shift + 1
+	line := addr >> h.l1Shift
+	h.lastLine = line + 1
+	h.high = max(h.high, line+1)
+	h.changed |= 1 << (line & h.l1.setMask)
 	if h.l1.access(addr) {
 		return Result{Cycles: h.l1.hitLat}
 	}
@@ -258,60 +295,127 @@ func (h *Hierarchy) accessSlow(addr uint64) Result {
 	return r
 }
 
+// rangeStride is the address step between AccessRange's accesses.
+const rangeStride = 64
+
+// rangeSums accumulates AccessRange's results.
+type rangeSums struct{ cycles, missL1, missL2, missLLC uint64 }
+
 // AccessRange performs the accesses Access(base + i*64) for i = 0 to
 // n-1, in that order, and returns their summed cycles and the number of
 // them that missed L1, L2 and the LLC. Tag state and lastLine end
-// exactly as the per-line loop leaves them: lines are walked in order,
-// so a range longer than a level's set count evicts its own head just
-// as the loop does. The L1 fields are read once and the MRU way is
-// checked inline; L2 and the LLC are probed only on an L1 miss.
+// exactly as the per-line loop leaves them. Its cost grows with the
+// lines whose state it changes rather than with n: with uniform line
+// sizes, lines of the recorded range in unchanged L1 sets are counted
+// as hits without loading a tag, and lines at or above high are
+// installed as misses at every level without a tag search. The rest,
+// and any range whose addresses wrap past 2^64, take the per-line walk.
 func (h *Hierarchy) AccessRange(base uint64, n int) (cycles, missL1, missL2, missLLC uint64) {
+	if n <= 0 {
+		return
+	}
+	var s rangeSums
+	if !h.uniform || uint64(n-1) > (^uint64(0)-base)/rangeStride {
+		// Neither shortcut applies. A wrapping walk reached the top
+		// line, so no line is fresh after it.
+		h.walk(&s, base, n)
+		h.rLo, h.rHi, h.high = 0, 0, ^uint64(0)/rangeStride+1
+		return s.cycles, s.missL1, s.missL2, s.missLLC
+	}
+	first := base / rangeStride
+	stop := first + uint64(n)
+	line := first
+	if line < h.rHi && h.rLo < stop {
+		if line < h.rLo {
+			h.walk(&s, line*rangeStride, int(h.rLo-line))
+			line = h.rLo
+		}
+		hi := min(stop, h.rHi)
+		h.rangeHits(&s, line, hi)
+		line = hi
+	}
+	if below := min(stop, max(line, h.high)); line < below {
+		h.walk(&s, line*rangeStride, int(below-line))
+		line = below
+	}
+	if line < stop {
+		k := stop - line
+		h.l1.install(line, stop)
+		h.l2.install(line, stop)
+		h.llc.install(line, stop)
+		s.cycles += k * uint64(h.memCycles)
+		s.missL1 += k
+		s.missL2 += k
+		s.missLLC += k
+		h.high = stop
+	}
+	h.lastLine = stop
+	if n <= h.rangeSets {
+		// The lines fall in distinct L1 sets, so each is now its set's MRU.
+		h.rLo, h.rHi, h.changed = first, stop, 0
+	} else {
+		h.rLo, h.rHi = 0, 0
+	}
+	return s.cycles, s.missL1, s.missL2, s.missLLC
+}
+
+// rangeHits performs the accesses to lines [lo, hi) of the recorded
+// range. Those in unchanged sets are MRU hits, counted by popcount; the
+// others take the per-line walk in order. The lines fall in distinct L1
+// sets, so none of the walks can move another line of the span.
+func (h *Hierarchy) rangeHits(s *rangeSums, lo, hi uint64) {
+	nsets, k := uint(h.rangeSets), uint(hi-lo)
+	sh := uint(lo & h.l1.setMask)
+	// Bit j of moved is set iff line lo+j's set changed: changed rotated
+	// right by sh within nsets bits, cut to the k lines of the span.
+	moved := (h.changed>>sh | h.changed<<(nsets-sh)) & (^uint64(0) >> (64 - k))
+	s.cycles += uint64(k-uint(bits.OnesCount64(moved))) * h.l1Lat
+	for ; moved != 0; moved &= moved - 1 {
+		h.walk(s, (lo+uint64(bits.TrailingZeros64(moved)))*rangeStride, 1)
+	}
+}
+
+// walk performs the n accesses Access(base + i*64) one line at a time,
+// reading the L1 fields once and checking the MRU way inline; L2 and the
+// LLC are probed only on an L1 miss. A line that takes L1's full access
+// path marks its set in changed: a walk longer than L1's set count
+// revisits sets, including those of the recorded range.
+func (h *Hierarchy) walk(s *rangeSums, base uint64, n int) {
 	l1 := h.l1
 	shift, setMask, tagShift, ways := h.l1Shift, l1.setMask, l1.tagShift, l1.ways
 	hitLat, last := h.l1Lat, h.lastLine
 	for i := 0; i < n; i++ {
-		addr := base + uint64(i)*64
+		addr := base + uint64(i)*rangeStride
 		line := addr >> shift
 		if line+1 == last {
-			cycles += hitLat
+			s.cycles += hitLat
 			continue
 		}
 		last = line + 1
 		si := line & setMask
 		if ch := l1.chunks[si>>chunkSetBits]; ch != nil && ch[int(si&(chunkSets-1))*ways] == line>>tagShift+1 {
-			cycles += hitLat
+			s.cycles += hitLat
 			continue
 		}
+		h.changed |= 1 << si
 		if l1.access(addr) {
-			cycles += hitLat
+			s.cycles += hitLat
 			continue
 		}
-		missL1++
+		s.missL1++
 		if h.l2.access(addr) {
-			cycles += h.l2.hitLat
+			s.cycles += h.l2.hitLat
 			continue
 		}
-		missL2++
+		s.missL2++
 		if h.llc.access(addr) {
-			cycles += h.llc.hitLat
+			s.cycles += h.llc.hitLat
 			continue
 		}
-		missLLC++
-		cycles += uint64(h.memCycles)
+		s.missLLC++
+		s.cycles += uint64(h.memCycles)
 	}
 	h.lastLine = last
-	return
-}
-
-// FlushLine removes the line containing addr from every level. The
-// kernel uses it to approximate cache pollution from context switches.
-func (h *Hierarchy) FlushLine(addr uint64) {
-	if addr>>h.l1Shift+1 == h.lastLine {
-		h.lastLine = 0
-	}
-	h.l1.flushLine(addr)
-	h.l2.flushLine(addr)
-	h.llc.flushLine(addr)
 }
 
 // FlushAll invalidates the entire hierarchy. Its chunks go back to the
@@ -322,6 +426,7 @@ func (h *Hierarchy) FlushAll() {
 		panic("cache: FlushAll on a released Hierarchy")
 	}
 	h.lastLine = 0
+	h.rLo, h.rHi = 0, 0
 	h.l1.recycle()
 	h.l2.recycle()
 	h.llc.recycle()
@@ -329,9 +434,11 @@ func (h *Hierarchy) FlushAll() {
 
 // Release returns every chunk to the free list for later hierarchies to
 // reuse. The hierarchy must not be used afterwards: its chunk tables
-// are dropped, so any later Access, FlushLine or FlushAll panics.
+// are dropped, so any later Access, nonempty AccessRange or FlushAll
+// panics.
 func (h *Hierarchy) Release() {
 	h.lastLine = 0
+	h.rLo, h.rHi = 0, 0
 	for _, lv := range []*cacheLevel{h.l1, h.l2, h.llc} {
 		lv.recycle()
 		lv.chunks = nil

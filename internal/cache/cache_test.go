@@ -72,15 +72,6 @@ func TestL2CatchesL1Evictions(t *testing.T) {
 	}
 }
 
-func TestFlushLine(t *testing.T) {
-	h := NewDefault()
-	h.Access(0x3000)
-	h.FlushLine(0x3000)
-	if r := h.Access(0x3000); !r.MissL1 || !r.MissL2 || !r.MissLLC {
-		t.Errorf("flushed line should miss everywhere: %+v", r)
-	}
-}
-
 func TestFlushAll(t *testing.T) {
 	h := NewDefault()
 	for addr := uint64(0); addr < 4096; addr += 64 {
@@ -123,8 +114,7 @@ func TestNonPowerOfTwoSetsRoundsDown(t *testing.T) {
 
 // refLevel models one cache level with storage that is never recycled:
 // each set is its own slice, allocated on first touch. Ways hold line+1
-// (zero = invalid) in LRU order, and a flushed way stays a hole in
-// place, as in cacheLevel.
+// (zero = invalid) in LRU order.
 type refLevel struct {
 	lineBytes, nsets uint64
 	ways             int
@@ -166,16 +156,6 @@ func (r *refLevel) access(addr uint64) bool {
 	return false
 }
 
-func (r *refLevel) flushLine(addr uint64) {
-	ws, key := r.set(addr)
-	for i, k := range ws {
-		if k == key {
-			ws[i] = 0
-			return
-		}
-	}
-}
-
 // refHierarchy is the fresh-memory oracle for Hierarchy. A second real
 // Hierarchy cannot play that part: its own FlushAll recycles chunks.
 type refHierarchy struct {
@@ -204,12 +184,6 @@ func (r *refHierarchy) Access(addr uint64) Result {
 	return res
 }
 
-func (r *refHierarchy) FlushLine(addr uint64) {
-	for _, lv := range r.levels {
-		lv.flushLine(addr)
-	}
-}
-
 func (r *refHierarchy) FlushAll() {
 	for _, lv := range r.levels {
 		clear(lv.sets)
@@ -227,8 +201,8 @@ func smallConfig() HierarchyConfig {
 	}
 }
 
-// replay drives h and ref with the same seeded Access/FlushLine/FlushAll
-// sequence and returns the first Result they disagree on as an error.
+// replay drives h and ref with the same seeded Access/FlushAll sequence
+// and returns the first Result they disagree on as an error.
 func replay(h *Hierarchy, ref *refHierarchy, seed uint64, ops int, span uint64) error {
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	var hot [32]uint64
@@ -240,17 +214,11 @@ func replay(h *Hierarchy, ref *refHierarchy, seed uint64, ops int, span uint64) 
 		if rng.IntN(2) == 0 {
 			addr = hot[rng.IntN(len(hot))] + rng.Uint64N(4)*64
 		}
-		switch p := rng.IntN(1000); {
-		case p < 2:
+		if rng.IntN(1000) < 2 {
 			h.FlushAll()
 			ref.FlushAll()
-		case p < 80:
-			h.FlushLine(addr)
-			ref.FlushLine(addr)
-		default:
-			if got, want := h.Access(addr), ref.Access(addr); got != want {
-				return fmt.Errorf("seed %d op %d: Access(%#x) = %+v, fresh model says %+v", seed, i, addr, got, want)
-			}
+		} else if got, want := h.Access(addr), ref.Access(addr); got != want {
+			return fmt.Errorf("seed %d op %d: Access(%#x) = %+v, fresh model says %+v", seed, i, addr, got, want)
 		}
 	}
 	return nil
@@ -277,8 +245,8 @@ func chunkAddrs(h *Hierarchy) map[*uint64]bool {
 
 // TestChunkRecyclingDifferential builds a hierarchy from chunks another
 // hierarchy dirtied and released, and requires every Result of a random
-// Access/FlushLine/FlushAll sequence to match a model whose storage is
-// always fresh.
+// Access/FlushAll sequence to match a model whose storage is always
+// fresh.
 func TestChunkRecyclingDifferential(t *testing.T) {
 	for name, cfg := range map[string]HierarchyConfig{"default": DefaultConfig(), "small": smallConfig()} {
 		t.Run(name, func(t *testing.T) {
@@ -312,7 +280,7 @@ func TestReleasedHierarchyPanics(t *testing.T) {
 	for name, use := range map[string]func(h *Hierarchy){
 		"Access same line": func(h *Hierarchy) { h.Access(0x40) },
 		"Access":           func(h *Hierarchy) { h.Access(0x1_0000) },
-		"FlushLine":        func(h *Hierarchy) { h.FlushLine(0x40) },
+		"AccessRange":      func(h *Hierarchy) { h.AccessRange(0x40, 4) },
 		"FlushAll":         func(h *Hierarchy) { h.FlushAll() },
 	} {
 		h := NewDefault()
@@ -355,21 +323,17 @@ func TestChunkRecyclingConcurrent(t *testing.T) {
 }
 
 // rangeTwins returns two hierarchies brought to the same random
-// pre-state by a seeded Access/FlushLine/FlushAll sequence over span
-// bytes, so one can run AccessRange and the other the per-line loop.
+// pre-state by a seeded Access/FlushAll sequence over span bytes, so
+// one can run AccessRange and the other the per-line loop.
 func rangeTwins(cfg HierarchyConfig, seed uint64, ops int, span uint64) (*Hierarchy, *Hierarchy) {
 	a, b := NewHierarchy(cfg), NewHierarchy(cfg)
 	rng := rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))
 	for i := 0; i < ops; i++ {
 		addr := rng.Uint64N(span)
-		switch p := rng.IntN(1000); {
-		case p < 2:
+		if rng.IntN(1000) < 2 {
 			a.FlushAll()
 			b.FlushAll()
-		case p < 80:
-			a.FlushLine(addr)
-			b.FlushLine(addr)
-		default:
+		} else {
 			a.Access(addr)
 			b.Access(addr)
 		}
@@ -416,11 +380,67 @@ func checkAccessRange(h, twin *Hierarchy, base uint64, n int) error {
 	return nil
 }
 
+// kernelWindows drives h and twin through a sequence of overlapping
+// walks, as the kernel's sliding pollution window does: each walk
+// starts 1–8 lines past the previous one and is at most or above L1's
+// set count. Between walks come user accesses (anywhere, in the current
+// window, or just ahead of it), FlushAll, walks reaching back more than
+// the set count before the window, and walks wrapping past 2^64. It
+// returns the first walk on which AccessRange and the per-line loop
+// disagree.
+func kernelWindows(h, twin *Hierarchy, cfg HierarchyConfig, rng *rand.Rand, span uint64) error {
+	l1Sets := cfg.L1.SizeBytes / cfg.L1.LineBytes / cfg.L1.Ways
+	base := 0xffff_8000_0000_0000 + rng.Uint64N(1<<20)*64
+	n := 32
+	both := func(addr uint64) {
+		h.Access(addr)
+		twin.Access(addr)
+	}
+	for step := 0; step < 60; step++ {
+		switch p := rng.IntN(100); {
+		case p < 30:
+			for k := rng.IntN(4); k >= 0; k-- {
+				both(rng.Uint64N(span))
+			}
+		case p < 45:
+			both(base + rng.Uint64N(uint64(n)+8)*64)
+		case p < 55:
+			both(base + uint64(n+rng.IntN(16))*64) // above every line walked so far
+		case p < 58:
+			h.FlushAll()
+			twin.FlushAll()
+		}
+		wbase, wn := base, n
+		switch p := rng.IntN(100); {
+		case p < 5:
+			wbase, wn = ^uint64(0)-uint64(rng.IntN(40))*64, 1+rng.IntN(l1Sets) // wraps
+		case p < 12:
+			wbase, wn = base-uint64(l1Sets/2+1+rng.IntN(l1Sets))*64, 2*l1Sets+rng.IntN(l1Sets) // reaches back
+		default:
+			base += uint64(1+rng.IntN(8)) * 64
+			wbase = base
+			switch rng.IntN(4) {
+			case 0:
+				n = 1 + rng.IntN(l1Sets) // at most the set count
+			case 1:
+				n = l1Sets + 1 + rng.IntN(l1Sets) // above it
+			}
+			wn = n
+		}
+		if err := checkAccessRange(h, twin, wbase, wn); err != nil {
+			return fmt.Errorf("window step %d: %v", step, err)
+		}
+	}
+	return nil
+}
+
 // TestAccessRangeMatchesPerLineLoop pins AccessRange to the per-line
 // Access loop it replaced, from random pre-states, for empty ranges,
 // unaligned bases, ranges crossing chunk boundaries and ranges up to
 // the SysIO maximum (1 MiB/256 + 4 lines), longer than the L1 and L2
-// set counts so the walk evicts its own head.
+// set counts so the walk evicts its own head; then for sequences of
+// overlapping kernel windows (kernelWindows), which reach the recorded
+// range, the changed-set mask and the fresh-line path.
 func TestAccessRangeMatchesPerLineLoop(t *testing.T) {
 	for name, cfg := range map[string]HierarchyConfig{"default": DefaultConfig(), "small": smallConfig()} {
 		t.Run(name, func(t *testing.T) {
@@ -450,6 +470,9 @@ func TestAccessRangeMatchesPerLineLoop(t *testing.T) {
 						t.Fatalf("round %d: %v", round, err)
 					}
 				}
+				if err := kernelWindows(h, twin, cfg, rng, span); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
 				h.Release()
 				twin.Release()
 			}
@@ -457,15 +480,19 @@ func TestAccessRangeMatchesPerLineLoop(t *testing.T) {
 	}
 }
 
-// FuzzAccessRange searches for a pre-state and range on which
-// AccessRange and the per-line Access loop disagree.
+// FuzzAccessRange searches for a pre-state and a pair of consecutive
+// ranges on which AccessRange and the per-line Access loop disagree.
+// The second range starts slide lines after the first, so it can meet
+// the range the first one recorded.
 func FuzzAccessRange(f *testing.F) {
-	f.Add(uint64(1), uint16(500), uint64(0x1000), uint16(32), false)
-	f.Add(uint64(2), uint16(2000), uint64(0x3fc3), uint16(4100), false)
-	f.Add(uint64(3), uint16(0), uint64(0), uint16(0), true)
-	f.Add(uint64(4), uint16(3000), uint64(0xffff_8000_0000_0040), uint16(4100), true)
-	f.Add(uint64(5), uint16(800), ^uint64(0)-100, uint16(9), false)
-	f.Fuzz(func(t *testing.T, seed uint64, ops uint16, base uint64, n uint16, small bool) {
+	f.Add(uint64(1), uint16(500), uint64(0x1000), uint16(32), int8(1), uint16(32), false)
+	f.Add(uint64(2), uint16(2000), uint64(0x3fc3), uint16(4100), int8(3), uint16(32), false)
+	f.Add(uint64(3), uint16(0), uint64(0), uint16(0), int8(0), uint16(0), true)
+	f.Add(uint64(4), uint16(3000), uint64(0xffff_8000_0000_0040), uint16(4100), int8(8), uint16(64), true)
+	f.Add(uint64(5), uint16(800), ^uint64(0)-100, uint16(9), int8(-2), uint16(9), false)
+	f.Add(uint64(6), uint16(1500), uint64(0xffff_8000_0000_0000), uint16(32), int8(-70), uint16(140), false)
+	f.Add(uint64(7), uint16(700), uint64(0x8000), uint16(8), int8(2), uint16(8), true)
+	f.Fuzz(func(t *testing.T, seed uint64, ops uint16, base uint64, n uint16, slide int8, n2 uint16, small bool) {
 		cfg := DefaultConfig()
 		if small {
 			cfg = smallConfig()
@@ -475,6 +502,9 @@ func FuzzAccessRange(f *testing.F) {
 		defer twin.Release()
 		if err := checkAccessRange(h, twin, base, int(n%4200)); err != nil {
 			t.Fatal(err)
+		}
+		if err := checkAccessRange(h, twin, base+uint64(int64(slide))*64, int(n2%4200)); err != nil {
+			t.Fatalf("second range: %v", err)
 		}
 	})
 }

@@ -34,6 +34,7 @@ package faultinject
 
 import (
 	"math/bits"
+	"slices"
 
 	"limitsim/internal/kernel"
 )
@@ -167,11 +168,16 @@ type Injector struct {
 	nCores  int
 	regions []kernel.FixupRegion
 
-	budget  map[int]int // thread ID -> remaining in-region preemptions
-	vbudget map[int]int // thread ID -> remaining in-region vCPU preemptions
-	stash   map[int]*pmiStash
-	sigHold map[int]int // thread ID -> remaining hold boundaries
-	armPC   int         // one-shot preemption trigger, -1 when unarmed
+	// Thread IDs are dense, so per-thread state lives in slices indexed
+	// by ID (per-core state by core ID), grown on first use: no hashing
+	// at instruction boundaries. Zero is every entry's initial state.
+	// used counts the in-region preemptions forced on a thread since it
+	// last executed outside regions; vused the same for vCPU ones.
+	used    []int
+	vused   []int
+	stash   []pmiStash // core ID -> withheld overflow bits
+	sigHold []int      // thread ID -> remaining hold boundaries, 0 = none
+	armPC   int        // one-shot preemption trigger, -1 when unarmed
 
 	armKillPC   int // one-shot kill trigger, -1 when unarmed
 	armClonePC  int // one-shot clone trigger, -1 when unarmed
@@ -184,19 +190,13 @@ type Injector struct {
 // New builds an injector. Zero-valued knobs take the documented
 // defaults; a zero Config injects nothing.
 func New(cfg Config) *Injector {
-	inj := &Injector{
-		nCores:  1,
-		budget:  make(map[int]int),
-		vbudget: make(map[int]int),
-		stash:   make(map[int]*pmiStash),
-		sigHold: make(map[int]int),
-	}
+	inj := &Injector{nCores: 1}
 	inj.Reset(cfg)
 	return inj
 }
 
 // Reset reinitializes the injector for a fresh run under cfg, reusing
-// its allocated maps — the runner's worker pools reset one injector
+// its allocated slices — the runner's worker pools reset one injector
 // per worker (with a new per-run seed) instead of allocating one per
 // run. Regions and the core count survive a Reset; stats do not.
 func (inj *Injector) Reset(cfg Config) {
@@ -214,10 +214,10 @@ func (inj *Injector) Reset(cfg Config) {
 	}
 	inj.cfg = cfg
 	inj.rng = cfg.Seed ^ 0xbadc0ffee0ddf00d
-	clear(inj.budget)
-	clear(inj.vbudget)
-	clear(inj.stash)
-	clear(inj.sigHold)
+	inj.used = inj.used[:0]
+	inj.vused = inj.vused[:0]
+	inj.stash = inj.stash[:0]
+	inj.sigHold = inj.sigHold[:0]
 	inj.armPC = -1
 	inj.armKillPC = -1
 	inj.armClonePC = -1
@@ -345,7 +345,9 @@ func (in *Injector) preemptAfter(coreID int, t *kernel.Thread) bool {
 	if !in.inRegion(pc) {
 		// Out of harm's way: refill the in-region budget and maybe
 		// land a random preemption.
-		in.budget[t.ID] = in.cfg.RegionBudget
+		if t.ID < len(in.used) {
+			in.used[t.ID] = 0
+		}
 		if in.chance(in.cfg.PreemptEvery) {
 			in.Stats.RandomPreemptions++
 			return true
@@ -355,27 +357,28 @@ func (in *Injector) preemptAfter(coreID int, t *kernel.Thread) bool {
 	if !in.cfg.PreemptInRegions {
 		return false
 	}
-	if b, ok := in.budget[t.ID]; !ok {
-		in.budget[t.ID] = in.cfg.RegionBudget
-	} else if b <= 0 {
+	in.used = grow(in.used, t.ID)
+	if in.used[t.ID] >= in.cfg.RegionBudget {
 		// Budget spent: let the read complete so the fixup's rewind
 		// cannot livelock the thread.
 		return false
 	}
-	in.budget[t.ID]--
+	in.used[t.ID]++
 	in.Stats.ForcedPreemptions++
 	return true
 }
 
 // vcpuPreemptAfter mirrors preemptAfter at the tenant level: budgeted
 // double-switch storms inside read-critical regions, random vCPU
-// preemptions outside them. A separate budget map keeps the two storm
+// preemptions outside them. A separate budget keeps the two storm
 // classes independently capped, so combining them cannot livelock a
 // rewinding thread.
 func (in *Injector) vcpuPreemptAfter(coreID int, t *kernel.Thread) bool {
 	pc := t.Ctx.PC
 	if !in.inRegion(pc) {
-		in.vbudget[t.ID] = in.cfg.RegionBudget
+		if t.ID < len(in.vused) {
+			in.vused[t.ID] = 0
+		}
 		if in.chance(in.cfg.VCpuPreemptEvery) {
 			in.Stats.VCpuPreemptions++
 			return true
@@ -385,22 +388,18 @@ func (in *Injector) vcpuPreemptAfter(coreID int, t *kernel.Thread) bool {
 	if !in.cfg.VCpuPreemptInRegions {
 		return false
 	}
-	if b, ok := in.vbudget[t.ID]; !ok {
-		in.vbudget[t.ID] = in.cfg.RegionBudget
-	} else if b <= 0 {
+	in.vused = grow(in.vused, t.ID)
+	if in.vused[t.ID] >= in.cfg.RegionBudget {
 		return false
 	}
-	in.vbudget[t.ID]--
+	in.vused[t.ID]++
 	in.Stats.VCpuPreemptions++
 	return true
 }
 
 func (in *Injector) filterPMI(coreID int, t *kernel.Thread, mask uint64) uint64 {
-	st := in.stash[coreID]
-	if st == nil {
-		st = &pmiStash{}
-		in.stash[coreID] = st
-	}
+	in.stash = grow(in.stash, coreID)
+	st := &in.stash[coreID]
 	if in.cfg.DelayPMI && mask != 0 {
 		in.Stats.DelayedPMIs += uint64(bits.OnesCount64(mask))
 		st.mask |= mask
@@ -424,10 +423,10 @@ func (in *Injector) filterPMI(coreID int, t *kernel.Thread, mask uint64) uint64 
 }
 
 func (in *Injector) drainPMI(coreID int, t *kernel.Thread) uint64 {
-	st := in.stash[coreID]
-	if st == nil || st.mask == 0 {
+	if coreID >= len(in.stash) || in.stash[coreID].mask == 0 {
 		return 0
 	}
+	st := &in.stash[coreID]
 	mask := st.mask
 	st.mask, st.age = 0, 0
 	in.Stats.DrainedPMIs += uint64(bits.OnesCount64(mask))
@@ -446,8 +445,9 @@ func (in *Injector) place(t *kernel.Thread, def int) int {
 }
 
 func (in *Injector) holdSignal(coreID int, t *kernel.Thread) bool {
-	left, ok := in.sigHold[t.ID]
-	if !ok {
+	in.sigHold = grow(in.sigHold, t.ID)
+	left := in.sigHold[t.ID]
+	if left == 0 {
 		// A signal just became deliverable; start a hold window.
 		in.sigHold[t.ID] = in.cfg.SignalDelayBoundaries
 		in.Stats.HeldSignals++
@@ -455,7 +455,7 @@ func (in *Injector) holdSignal(coreID int, t *kernel.Thread) bool {
 	}
 	if left <= 1 {
 		// Window over: deliver, and re-arm for the next signal.
-		delete(in.sigHold, t.ID)
+		in.sigHold[t.ID] = 0
 		return false
 	}
 	in.sigHold[t.ID] = left - 1
@@ -509,4 +509,14 @@ func (in *Injector) cloneAfter(coreID int, t *kernel.Thread) (int, bool) {
 		return in.cfg.CloneEntry, true
 	}
 	return 0, false
+}
+
+// grow returns s extended, if needed, so that s[i] exists. Elements it
+// adds are zero, also where they reuse capacity a Reset left behind.
+func grow[T any](s []T, i int) []T {
+	if n := len(s); i >= n {
+		s = slices.Grow(s, i+1-n)[:i+1]
+		clear(s[n:])
+	}
+	return s
 }

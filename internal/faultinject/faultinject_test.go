@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"slices"
 	"testing"
 
 	"limitsim/internal/invariant"
@@ -205,4 +206,94 @@ func TestRegionBudgetPreventsLivelock(t *testing.T) {
 		}
 	}
 	_ = proc
+}
+
+// TestResetBehavesAsFresh cuts four-thread clone storms short — at
+// 1,000 steps core 0 withholds an overflow bit, at 1,480 thread 1 is in
+// a signal hold window — then resets the injector and requires it to
+// behave exactly like a fresh one on a two-thread run: same fault stats
+// and same stored deltas. Overflows are delivered as signals, so the
+// hold windows see traffic.
+func TestResetBehavesAsFresh(t *testing.T) {
+	small := Config{
+		Seed:                  5,
+		PreemptInRegions:      true,
+		RegionBudget:          3,
+		PreemptEvery:          37,
+		SpuriousPMIEvery:      29,
+		DelayPMI:              true,
+		MigrationStorm:        true,
+		SignalDelayBoundaries: 3,
+	}
+	newMachine := func(seed uint64) *machine.Machine {
+		feats := pmu.DefaultFeatures()
+		feats.WriteWidth = 9
+		kcfg := kernel.DefaultConfig()
+		kcfg.Seed = seed
+		kcfg.LimitOverflow = kernel.SignalUser
+		return machine.New(machine.Config{NumCores: 2, PMU: feats, Kernel: kcfg})
+	}
+	type outcome struct {
+		stats  Stats
+		deltas [sweepIters]uint64
+	}
+	runSmall := func(inj *Injector) outcome {
+		w := buildSweepWorkload()
+		m := newMachine(3)
+		defer m.Release()
+		inj.SetRegions(w.regions)
+		inj.SetCores(2)
+		inj.Attach(m.Kern)
+		proc := m.Kern.NewProcess(w.prog, w.space)
+		m.Kern.Spawn(proc, "a", 0, 7)
+		m.Kern.Spawn(proc, "b", 1, 8)
+		if res := m.Run(machine.RunLimits{MaxSteps: 5_000_000}); res.Err != nil || !res.AllDone {
+			t.Fatalf("small run: err %v, all done %v", res.Err, res.AllDone)
+		}
+		var o outcome
+		o.stats = inj.Stats
+		for i := range o.deltas {
+			o.deltas[i] = w.space.Read64(w.buf + uint64(i)*8)
+		}
+		return o
+	}
+	want := runSmall(New(small))
+	if want.stats.HeldSignals == 0 || want.stats.DelayedPMIs == 0 {
+		t.Fatalf("the two-thread run must hold signals and delay PMIs: %+v", want.stats)
+	}
+
+	for _, cut := range []uint64{1_000, 1_480} {
+		w := buildLifecycleWorkload()
+		m := newMachine(9)
+		inj := New(Config{
+			Seed:                  11,
+			DelayPMI:              true,
+			DelayBoundaries:       400,
+			SignalDelayBoundaries: 40,
+			CloneEvery:            31,
+			CloneEntry:            w.stub,
+			CloneBudget:           40,
+		})
+		inj.SetRegions(w.regions)
+		inj.SetCores(2)
+		inj.Attach(m.Kern)
+		proc := m.Kern.NewProcess(w.prog, w.space)
+		for i := 0; i < 4; i++ {
+			m.Kern.Spawn(proc, "big", i%2, uint64(20+i))
+		}
+		m.Run(machine.RunLimits{MaxSteps: cut})
+		m.Release()
+		if n := len(m.Kern.Threads()); n <= 2 {
+			t.Fatalf("cut %d: the storm ran only %d threads", cut, n)
+		}
+		if !slices.ContainsFunc(inj.stash, func(s pmiStash) bool { return s.mask != 0 }) &&
+			!slices.ContainsFunc(inj.sigHold, func(left int) bool { return left != 0 }) {
+			t.Fatalf("cut %d: the storm left no withheld overflow bit and no open hold window", cut)
+		}
+
+		inj.Reset(small)
+		if got := runSmall(inj); got != want {
+			t.Errorf("cut %d: reset injector diverged from a fresh one:\n got %+v\nwant %+v", cut, got, want)
+		}
+	}
 }

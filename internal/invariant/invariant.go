@@ -34,6 +34,7 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 
 	"limitsim/internal/kernel"
 	"limitsim/internal/limit"
@@ -76,6 +77,13 @@ type readState struct {
 	region    kernel.FixupRegion
 	tableAddr uint64
 	genAt     uint64
+	armed     bool
+}
+
+// floor is the lowest value a virtual counter may next be seen at.
+type floor struct {
+	v   uint64
+	set bool
 }
 
 // maxStored caps how many violations are kept verbatim; the count keeps
@@ -88,10 +96,13 @@ const maxStored = 64
 type Checker struct {
 	regions []kernel.FixupRegion
 
-	gen    map[uint64]uint64      // table word -> fold generation
-	folded map[uint64]uint64      // table word -> sum of folded chunks
-	armed  map[int]readState      // by value: arming a read allocates nothing
-	low    map[int]map[int]uint64 // thread ID -> counter idx -> floor value
+	gen    map[uint64]uint64 // table word -> fold generation
+	folded map[uint64]uint64 // table word -> sum of folded chunks
+
+	// Thread IDs are dense, so per-thread state lives in slices indexed
+	// by ID, grown on first use: no hashing at instruction boundaries.
+	armed []readState // thread ID -> in-flight read
+	low   [][]floor   // thread ID -> counter idx -> floor
 
 	// reapVals captures each LiMiT counter's final value (table word +
 	// saved remainder) at the moment its thread is reaped — before any
@@ -114,8 +125,6 @@ func New(regions [][2]int) *Checker {
 	c := &Checker{
 		gen:      make(map[uint64]uint64),
 		folded:   make(map[uint64]uint64),
-		armed:    make(map[int]readState),
-		low:      make(map[int]map[int]uint64),
 		reapVals: make(map[int]map[int]uint64),
 	}
 	for _, r := range regions {
@@ -125,15 +134,15 @@ func New(regions [][2]int) *Checker {
 }
 
 // Reset clears every observation so the checker can watch a fresh run
-// over the same regions, reusing its allocated maps — the runner's
-// worker pools reset one checker per worker instead of allocating one
-// per run. Stored violations are dropped (slice capacity kept); the
-// caller must have copied out whatever it wants to keep.
+// over the same regions, reusing its allocated maps and slices — the
+// runner's worker pools reset one checker per worker instead of
+// allocating one per run. Stored violations are dropped (slice capacity
+// kept); the caller must have copied out whatever it wants to keep.
 func (c *Checker) Reset() {
 	clear(c.gen)
 	clear(c.folded)
-	clear(c.armed)
-	clear(c.low)
+	c.armed = c.armed[:0]
+	c.low = c.low[:0]
 	clear(c.reapVals)
 	c.violations = c.violations[:0]
 	c.count = 0
@@ -173,7 +182,8 @@ func (c *Checker) report(tid int, kind, format string, args ...any) {
 
 // step watches instruction retirement for region entry and completion.
 func (c *Checker) step(coreID int, t *kernel.Thread, prevPC, pc int) {
-	if rs, ok := c.armed[t.ID]; ok {
+	if t.ID < len(c.armed) && c.armed[t.ID].armed {
+		rs := c.armed[t.ID]
 		switch {
 		case prevPC == rs.region.End-1 && pc == rs.region.End:
 			// The final add retired: the read is complete. Any fold on
@@ -194,12 +204,13 @@ func (c *Checker) step(coreID int, t *kernel.Thread, prevPC, pc int) {
 		default:
 			return // still inside the read
 		}
-		delete(c.armed, t.ID)
+		c.armed[t.ID].armed = false
 	}
 	for _, r := range c.regions {
 		if prevPC == r.Start && pc == r.Start+1 {
 			if addr, ok := c.counterAddr(t, r.Start); ok {
-				c.armed[t.ID] = readState{region: r, tableAddr: addr, genAt: c.gen[addr]}
+				c.armed = grow(c.armed, t.ID)
+				c.armed[t.ID] = readState{region: r, tableAddr: addr, genAt: c.gen[addr], armed: true}
 			}
 			break
 		}
@@ -241,7 +252,9 @@ func (c *Checker) rewind(t *kernel.Thread, from, to int) {
 	if !ok {
 		c.report(t.ID, KindBadRewind, "rewind %d -> %d does not match any region start", from, to)
 	}
-	delete(c.armed, t.ID)
+	if t.ID < len(c.armed) {
+		c.armed[t.ID].armed = false
+	}
 }
 
 // switchOut checks monotonicity of every LiMiT counter at the moment
@@ -256,17 +269,25 @@ func (c *Checker) checkMonotone(t *kernel.Thread, when string) {
 			continue
 		}
 		cur := t.Proc.Mem.Read64(tc.TableAddr) + tc.Saved
-		lows := c.low[t.ID]
-		if lows == nil {
-			lows = make(map[int]uint64)
-			c.low[t.ID] = lows
-		}
-		if prev, ok := lows[ci]; ok && cur < prev {
+		c.low = grow(c.low, t.ID)
+		lows := grow(c.low[t.ID], ci)
+		if f := lows[ci]; f.set && cur < f.v {
 			c.report(t.ID, KindNonMonotone,
-				"counter %d went backwards at %s: %d -> %d", ci, when, prev, cur)
+				"counter %d went backwards at %s: %d -> %d", ci, when, f.v, cur)
 		}
-		lows[ci] = cur
+		lows[ci] = floor{v: cur, set: true}
+		c.low[t.ID] = lows
 	}
+}
+
+// grow returns s extended, if needed, so that s[i] exists. Elements it
+// adds are zero, also where they reuse capacity a Reset left behind.
+func grow[T any](s []T, i int) []T {
+	if n := len(s); i >= n {
+		s = slices.Grow(s, i+1-n)[:i+1]
+		clear(s[n:])
+	}
+	return s
 }
 
 // clone validates counter inheritance at the child's birth: the

@@ -1,9 +1,11 @@
 package invariant
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"limitsim/internal/faultinject"
 	"limitsim/internal/isa"
 	"limitsim/internal/kernel"
 	"limitsim/internal/limit"
@@ -15,12 +17,17 @@ import (
 // buildLoop emits a single-thread measured read loop and returns the
 // pieces a test needs. With narrow counter writes the loop folds
 // constantly, which is what the checker's generation oracle watches.
-func buildLoop(iters, computeK int) (*isa.Program, *mem.Space, [][2]int, uint64, uint64) {
+// With fixup false the regions are never registered with the kernel:
+// the ablation whose reads tear under in-region preemption.
+func buildLoop(iters, computeK int, fixup bool) (*isa.Program, *mem.Space, [][2]int, uint64, uint64) {
 	space := mem.NewSpace()
 	table := limit.AllocTable(space, 1)
 	b := isa.NewBuilder()
 	e := limit.NewEmitter(b, limit.ModeStock, table)
 	ctr := e.AddCounter(limit.UserCounter(pmu.EvInstructions))
+	if !fixup {
+		e.DisableFixupRegistration()
+	}
 	buf := space.AllocWords(uint64(iters))
 	e.EmitInit()
 	b.MovImm(isa.R12, int64(buf))
@@ -46,7 +53,7 @@ func buildLoop(iters, computeK int) (*isa.Program, *mem.Space, [][2]int, uint64,
 // frequently folding run with the fixup active and requires complete
 // silence plus a satisfied end-of-run audit.
 func TestCheckerSilentOnCleanRun(t *testing.T) {
-	prog, space, regions, _, _ := buildLoop(200, 25)
+	prog, space, regions, _, _ := buildLoop(200, 25, true)
 	feats := pmu.DefaultFeatures()
 	feats.WriteWidth = 9
 	kcfg := kernel.DefaultConfig()
@@ -76,7 +83,7 @@ func TestCheckerSilentOnCleanRun(t *testing.T) {
 // TestCheckerFlagsBadRewind drives the rewind probe directly with a
 // target that is not the region start and expects the bad-rewind kind.
 func TestCheckerFlagsBadRewind(t *testing.T) {
-	prog, space, regions, _, _ := buildLoop(8, 10)
+	prog, space, regions, _, _ := buildLoop(8, 10, true)
 	m := machine.New(machine.Config{NumCores: 1})
 	proc := m.Kern.NewProcess(prog, space)
 	th := m.Kern.Spawn(proc, "bad", 0, 1)
@@ -102,7 +109,7 @@ func TestCheckerFlagsBadRewind(t *testing.T) {
 // counter's table word backwards and asks for another monotonicity
 // check — the checker must notice the regression.
 func TestCheckerFlagsNonMonotone(t *testing.T) {
-	prog, space, regions, _, _ := buildLoop(100, 10)
+	prog, space, regions, _, _ := buildLoop(100, 10, true)
 	feats := pmu.DefaultFeatures()
 	feats.WriteWidth = 9
 	m := machine.New(machine.Config{NumCores: 1, PMU: feats})
@@ -139,7 +146,7 @@ func TestCheckerFlagsNonMonotone(t *testing.T) {
 // adding an extra chunk to the table word behind the kernel's back; the
 // end-of-run audit must report the discrepancy.
 func TestFinalizeFlagsFoldLoss(t *testing.T) {
-	prog, space, regions, _, _ := buildLoop(16, 10)
+	prog, space, regions, _, _ := buildLoop(16, 10, true)
 	feats := pmu.DefaultFeatures()
 	feats.WriteWidth = 9
 	m := machine.New(machine.Config{NumCores: 1, PMU: feats})
@@ -164,5 +171,61 @@ func TestFinalizeFlagsFoldLoss(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("phantom fold not flagged: %v", chk.Violations())
+	}
+}
+
+// TestResetBehavesAsFresh cuts six-thread runs short, with reads armed
+// and floors recorded, then resets the checker and requires it to
+// report exactly what a fresh checker reports on a two-thread run: the
+// fixup-ablated read loop under forced in-region preemption, so torn
+// reads are among the violations.
+func TestResetBehavesAsFresh(t *testing.T) {
+	run := func(c *Checker, threads int, maxSteps uint64) {
+		prog, space, regions, _, _ := buildLoop(300, 12, false)
+		feats := pmu.DefaultFeatures()
+		feats.WriteWidth = 9
+		kcfg := kernel.DefaultConfig()
+		kcfg.Quantum = 3_000
+		m := machine.New(machine.Config{NumCores: 2, PMU: feats, Kernel: kcfg})
+		defer m.Release()
+		c.Attach(m.Kern)
+		inj := faultinject.New(faultinject.Config{
+			Seed: 4, PreemptInRegions: true, PreemptEvery: 23, SpuriousPMIEvery: 11, DelayPMI: true,
+		})
+		inj.SetRegions(regions)
+		inj.SetCores(2)
+		inj.Attach(m.Kern)
+		proc := m.Kern.NewProcess(prog, space)
+		for i := 0; i < threads; i++ {
+			m.Kern.Spawn(proc, "loop", i%2, uint64(30+i))
+		}
+		res := m.Run(machine.RunLimits{MaxSteps: maxSteps})
+		if res.Err != nil {
+			t.Fatalf("run failed: %v", res.Err)
+		}
+		if res.AllDone {
+			c.Finalize(proc, m.Kern.Threads(), 0)
+		}
+	}
+	_, _, regions, _, _ := buildLoop(300, 12, false)
+	fresh := New(regions)
+	run(fresh, 2, 5_000_000)
+	if fresh.ReadsCompleted == 0 || fresh.Count() == 0 {
+		t.Fatalf("the two-thread run must complete reads and tear some: %d reads, %d violations",
+			fresh.ReadsCompleted, fresh.Count())
+	}
+	for _, cut := range []uint64{2_003, 9_001, 30_011} {
+		c := New(regions)
+		run(c, 6, cut)
+		if len(c.low) <= 2 {
+			t.Fatalf("cut %d: the six-thread run recorded floors for only %d thread IDs", cut, len(c.low))
+		}
+		c.Reset()
+		run(c, 2, 5_000_000)
+		if c.Count() != fresh.Count() || c.ReadsCompleted != fresh.ReadsCompleted ||
+			!reflect.DeepEqual(c.Violations(), fresh.Violations()) {
+			t.Errorf("cut %d: reset checker saw %d violations over %d reads, fresh %d over %d:\n%v\nvs\n%v",
+				cut, c.Count(), c.ReadsCompleted, fresh.Count(), fresh.ReadsCompleted, c.Violations(), fresh.Violations())
+		}
 	}
 }
