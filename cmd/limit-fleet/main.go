@@ -259,7 +259,14 @@ func defInt(v, def int) int {
 // nil; zero keeps its "use the default" meaning.
 func negativeFlag() (bad *flag.Flag) {
 	flag.Visit(func(f *flag.Flag) {
-		if v, ok := f.Value.(flag.Getter).Get().(int); ok && v < 0 && bad == nil {
+		neg := false
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg && bad == nil {
 			bad = f
 		}
 	})

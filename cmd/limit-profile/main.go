@@ -180,8 +180,8 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	events := fs.String("events", "", `bundle as CSV; ":k" suffix = all rings (default cycles,cycles:k,l1d-miss,branch-miss)`)
 	stride := fs.Int("stride", 1, "measure every Nth boundary per region")
-	budget := fs.Float64("budget", 0, "target slowdown bound (e.g. 1.05); >0 calibrates the stride")
-	top := fs.Int("top", 10, "rows in the ranked report")
+	budget := fs.Float64("budget", 0, "target slowdown bound above 1 (e.g. 1.05) to calibrate the stride; 0 = off")
+	top := fs.Int("top", 10, "rows in the ranked report (0 = all)")
 	format := fs.String("format", "text", "output format: text, markdown, jsonl")
 	flame := fs.String("flame", "", "write the self-time hierarchy as Chrome trace JSON to FILE")
 	htmlOut := fs.String("html", "", "write a self-contained HTML report (ranked table + flame) to FILE")
@@ -197,6 +197,16 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	}
 	if !(*scale > 0) || math.IsInf(*scale, 1) {
 		fmt.Fprintf(stderr, "limit-profile: -scale must be a positive finite number, got %v\n", *scale)
+		return 2
+	}
+	// Some overhead always remains, so a budget at or below 1x cannot
+	// be met.
+	if *budget != 0 && !(*budget > 1 && !math.IsInf(*budget, 1)) {
+		fmt.Fprintf(stderr, "limit-profile: -budget must be 0 (off) or a finite slowdown above 1, got %v\n", *budget)
+		return 2
+	}
+	if *top < 0 {
+		fmt.Fprintf(stderr, "limit-profile: -top must not be negative (got %d)\n", *top)
 		return 2
 	}
 	switch *format {
@@ -226,7 +236,7 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	}
 	spec.Stride = *stride
 
-	if *budget > 0 {
+	if *budget != 0 {
 		s, code := calibrateStride(*workload, spec, *scale, *cores, *parallel, *budget, stdout, stderr)
 		if code != 0 {
 			return code

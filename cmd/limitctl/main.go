@@ -246,7 +246,7 @@ func main() {
 		return
 	}
 
-	if !checkRunFlags(os.Stderr, "limitctl", *cores, *scale) {
+	if !checkRunFlags(os.Stderr, "limitctl", *cores, *scale) || !checkPeriod(os.Stderr, "limitctl", *method, *period) {
 		os.Exit(2)
 	}
 	ins, ok := buildInstrumentation(*method, *period)

@@ -9,6 +9,7 @@ import (
 	"limitsim/internal/kernel"
 	"limitsim/internal/limit"
 	"limitsim/internal/machine"
+	"limitsim/internal/probe"
 	"limitsim/internal/telemetry"
 	"limitsim/internal/trace"
 )
@@ -50,6 +51,9 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 	}
 	if *n <= 0 {
 		fmt.Fprintf(stderr, "limitctl trace: -n must be positive (got %d)\n", *n)
+		return 2
+	}
+	if !checkPeriod(stderr, "limitctl trace", *method, *period) {
 		return 2
 	}
 
@@ -167,6 +171,16 @@ func checkRunFlags(stderr io.Writer, cmd string, cores int, scale float64) bool 
 		return true
 	}
 	return false
+}
+
+// checkPeriod rejects -period 0 with -method sample, which would open
+// no sampler at all and report nothing, with one stderr line.
+func checkPeriod(stderr io.Writer, cmd, method string, period uint64) bool {
+	if probe.Kind(method) == probe.KindSample && period == 0 {
+		fmt.Fprintf(stderr, "%s: -period must be positive with -method sample\n", cmd)
+		return false
+	}
+	return true
 }
 
 // runTraced runs a workload with a tracer of capacity n attached and

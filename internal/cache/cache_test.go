@@ -434,13 +434,59 @@ func kernelWindows(h, twin *Hierarchy, cfg HierarchyConfig, rng *rand.Rand, span
 	return nil
 }
 
+// fillStates checks ranges that lie above every line accessed so far,
+// so they take the install path, into sets in two pre-states: empty
+// (a fresh pair) and partly filled. A partly filled set holds 1 to
+// maxWays-1 earlier lines that alias it at every level, so it is part
+// full at some level and full at the smaller ones; about half the
+// lines of the range get such a set, the rest stay empty.
+func fillStates(cfg HierarchyConfig, rng *rand.Rand) error {
+	h, twin := rangeTwins(cfg, 0, 0, 0)
+	defer h.Release()
+	defer twin.Release()
+	base := 0xffff_8000_0000_0000 + rng.Uint64N(1<<20)*64
+	if err := checkAccessRange(h, twin, base, 1+rng.IntN(300)); err != nil {
+		return fmt.Errorf("empty sets: %v", err)
+	}
+
+	p, ptwin := rangeTwins(cfg, 0, 0, 0)
+	defer p.Release()
+	defer ptwin.Release()
+	// Lines one LLC set span apart share a set at every level: each
+	// level's set span divides the LLC's.
+	var alias uint64
+	maxWays := 0
+	for _, lv := range []Config{cfg.L1, cfg.L2, cfg.LLC} {
+		alias = max(alias, uint64(lv.SizeBytes/lv.Ways))
+		maxWays = max(maxWays, lv.Ways)
+	}
+	// At most one set span long, so the range is above every alias.
+	n := 1 + rng.IntN(min(300, int(alias/64)))
+	base = uint64(maxWays)*alias + rng.Uint64N(1<<16)*64
+	for i := 0; i < n; i++ {
+		if rng.IntN(2) == 0 {
+			continue
+		}
+		for j := 1 + rng.IntN(maxWays-1); j > 0; j-- {
+			addr := base + uint64(i)*64 - uint64(j)*alias
+			p.Access(addr)
+			ptwin.Access(addr)
+		}
+	}
+	if err := checkAccessRange(p, ptwin, base, n); err != nil {
+		return fmt.Errorf("partly filled sets: %v", err)
+	}
+	return nil
+}
+
 // TestAccessRangeMatchesPerLineLoop pins AccessRange to the per-line
 // Access loop it replaced, from random pre-states, for empty ranges,
 // unaligned bases, ranges crossing chunk boundaries and ranges up to
 // the SysIO maximum (1 MiB/256 + 4 lines), longer than the L1 and L2
 // set counts so the walk evicts its own head; then for sequences of
 // overlapping kernel windows (kernelWindows), which reach the recorded
-// range, the changed-set mask and the fresh-line path.
+// range, the changed-set mask and the fresh-line path; and fresh-line
+// installs into empty and partly filled sets (fillStates).
 func TestAccessRangeMatchesPerLineLoop(t *testing.T) {
 	for name, cfg := range map[string]HierarchyConfig{"default": DefaultConfig(), "small": smallConfig()} {
 		t.Run(name, func(t *testing.T) {
@@ -475,6 +521,9 @@ func TestAccessRangeMatchesPerLineLoop(t *testing.T) {
 				}
 				h.Release()
 				twin.Release()
+				if err := fillStates(cfg, rng); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
 			}
 		})
 	}
@@ -492,6 +541,12 @@ func FuzzAccessRange(f *testing.F) {
 	f.Add(uint64(5), uint16(800), ^uint64(0)-100, uint16(9), int8(-2), uint16(9), false)
 	f.Add(uint64(6), uint16(1500), uint64(0xffff_8000_0000_0000), uint16(32), int8(-70), uint16(140), false)
 	f.Add(uint64(7), uint16(700), uint64(0x8000), uint16(8), int8(2), uint16(8), true)
+	// Ranges above the pre-state's span take the install path: into
+	// empty sets (no pre-state) and into partly filled ones.
+	f.Add(uint64(8), uint16(0), uint64(0x4000), uint16(4100), int8(40), uint16(300), false)
+	f.Add(uint64(9), uint16(0), uint64(0x100), uint16(700), int8(-3), uint16(64), true)
+	f.Add(uint64(10), uint16(3000), uint64(0x100_0000), uint16(4100), int8(64), uint16(4100), false)
+	f.Add(uint64(11), uint16(150), uint64(0x2_0000), uint16(600), int8(5), uint16(32), true)
 	f.Fuzz(func(t *testing.T, seed uint64, ops uint16, base uint64, n uint16, slide int8, n2 uint16, small bool) {
 		cfg := DefaultConfig()
 		if small {

@@ -121,6 +121,12 @@ func TestExitCodeContract(t *testing.T) {
 		{"limitctl run NaN scale", "limitctl", []string{"-scale", "NaN"}, 2},
 		{"limitctl metrics 64 counters", "limitctl", []string{"metrics", "-counters", "64"}, 2},
 		{"limitctl metrics width over counters", "limitctl", []string{"metrics", "-counters", "3", "-width", "4"}, 2},
+		{"limit-profile budget below 1", "limit-profile", []string{"-budget", "0.5"}, 2},
+		{"limit-profile NaN budget", "limit-profile", []string{"-budget", "NaN"}, 2},
+		{"limit-profile negative top", "limit-profile", []string{"-top", "-1"}, 2},
+		{"limit-fleet negative hb-timeout", "limit-fleet", []string{"-hb-timeout", "-1s"}, 2},
+		{"limitctl trace zero sample period", "limitctl", []string{"trace", "-method", "sample", "-period", "0"}, 2},
+		{"limitctl run zero sample period", "limitctl", []string{"-method", "sample", "-period", "0"}, 2},
 
 		// Exit 1: runtime failures.
 		{"limitctl merge missing file", "limitctl", []string{"merge", filepath.Join(tmp, "absent.jsonl")}, 1},

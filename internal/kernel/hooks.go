@@ -154,8 +154,9 @@ func (k *Kernel) chaosPreempt(coreID int) {
 	t.ReadyAt = k.cores[coreID].Now
 	core := coreID
 	if k.chaos.Place != nil {
-		if c := k.chaos.Place(t, core); c >= 0 && c < len(k.cores) {
+		if c := k.chaos.Place(t, core); c >= 0 && c < len(k.cores) && c != coreID {
 			core = c
+			k.epoch++
 		}
 	}
 	k.runq[core] = append(k.runq[core], t)

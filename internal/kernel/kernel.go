@@ -552,6 +552,15 @@ type Kernel struct {
 	burst    []burstEntry
 	burstGen uint64
 
+	// epoch moves on every write another core's NextActionTime, AllDone
+	// or the sleeper deadline may read: enqueue and Spawn (onto any
+	// core), a chaos-preempt placement or a tenant migration onto
+	// another core, a steal, a nanosleep that moves the earliest
+	// deadline, and a thread's death. The machine loop reads it around
+	// each RunCore; while it stands still, only the stepped core's pick
+	// input can have changed.
+	epoch uint64
+
 	// metrics, when non-nil, is the kernel's self-measurement surface
 	// (metrics.go). pmiRaiseAt holds per-core, per-slot raise marks for
 	// the PMI latency histogram; both are nil while detached.
@@ -644,6 +653,7 @@ func (k *Kernel) NewProcess(prog *isa.Program, space *mem.Space) *Process {
 // applied in order).
 func (k *Kernel) Spawn(proc *Process, name string, entry int, seed uint64) *Thread {
 	k.burstGen++
+	k.epoch++
 	t := &Thread{
 		ID:         len(k.threads) + 1,
 		Name:       name,
@@ -698,6 +708,11 @@ func (k *Kernel) FaultedThreads() []*Thread {
 // AllDone reports whether every spawned thread has terminated.
 func (k *Kernel) AllDone() bool { return k.live == 0 }
 
+// Epoch returns the cross-core epoch (see the epoch field): while it
+// does not move, no core's NextActionTime other than that of the core
+// that ran, nor AllDone, nor NextSleeperWake can have changed.
+func (k *Kernel) Epoch() uint64 { return k.epoch }
+
 // SetTracer attaches an event trace buffer (nil detaches).
 func (k *Kernel) SetTracer(b *trace.Buffer) { k.tracer = b }
 
@@ -748,6 +763,7 @@ func (k *Kernel) fault(coreID int, t *Thread, pc int, msg string) {
 	t.FaultMsg = msg
 	if t.State != StateDone {
 		k.live--
+		k.epoch++
 	}
 	t.State = StateDone
 	k.faults = append(k.faults, fmt.Sprintf(

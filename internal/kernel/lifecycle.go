@@ -147,6 +147,7 @@ func (k *Kernel) exitThread(coreID int, t *Thread, how uint64) {
 	k.deschedule(coreID, t)
 	if t.State != StateDone {
 		k.live--
+		k.epoch++
 	}
 	t.State = StateDone
 	k.reapThread(coreID, t)

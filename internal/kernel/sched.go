@@ -104,6 +104,7 @@ func (k *Kernel) enqueue(t *Thread) {
 		}
 	}
 	k.runq[core] = append(k.runq[core], t)
+	k.epoch++
 }
 
 // StepCore advances core coreID by one instruction (scheduling first if
@@ -220,13 +221,10 @@ func (k *Kernel) postStep(coreID int, t *Thread, trap cpu.TrapKind, res *cpu.Ste
 // machine loop that re-picks after every instruction: while no
 // boundary event fires, the running core's state is invisible to other
 // cores, so the global pick would keep choosing it until its clock
-// passes the horizon the machine computed.
-// The clean result reports that the burst ended purely on the horizon
-// or step budget: no kernel code ran, so no state outside this core —
-// other cores' queues, sleepers, thread lifetimes — can have changed,
-// and the caller may keep its cached view of them. now returns the
-// core's clock after the burst, saving the caller the re-read.
-func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, now uint64, clean bool) {
+// passes the horizon the machine computed. Whatever it changes outside
+// this core moves the epoch (see Epoch), which is how the caller knows
+// whether its view of the other cores still holds.
+func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps uint64) {
 	if maxSteps == 0 {
 		maxSteps = ^uint64(0)
 	}
@@ -234,9 +232,9 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 	// instruction boundary, possibly across cores: single-step.
 	if k.slowStep {
 		if k.StepCore(coreID) == StepIdle {
-			return 0, 0, false
+			return 0
 		}
-		return 1, k.cores[coreID].Now, false
+		return 1
 	}
 
 	core := k.cores[coreID]
@@ -253,9 +251,9 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 		hasGroups, othersWaiting, qEnd = bc.groups, bc.others, bc.qEnd
 		if othersWaiting && core.Now >= qEnd {
 			if k.StepCore(coreID) == StepIdle {
-				return 0, 0, false
+				return 0
 			}
-			return 1, core.Now, false
+			return 1
 		}
 	} else {
 		t = k.cur[coreID]
@@ -264,9 +262,9 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 			// consults and mutates other cores' queues: take one full
 			// StepCore, then hand back for a global re-pick.
 			if k.StepCore(coreID) == StepIdle {
-				return 0, 0, false
+				return 0
 			}
-			return 1, core.Now, false
+			return 1
 		}
 		hasGroups = len(t.groups) != 0
 		hasSignals = len(t.pending) > 0
@@ -307,7 +305,7 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 			t.Stats.UserInstructions += ui
 			t.Stats.UserCycles += uc
 			k.postStep(coreID, t, tr, &res, mask)
-			return steps, core.Now, false
+			return steps
 		}
 		if steps >= maxSteps || core.Now >= stop {
 			core.Retired += ui
@@ -324,14 +322,14 @@ func (k *Kernel) RunCore(coreID int, horizon uint64, maxSteps uint64) (steps, no
 				bc.qEnd = qEnd
 				bc.others = othersWaiting
 				bc.groups = hasGroups
-				return steps, core.Now, true
+				return steps
 			}
 			// Quantum expired mid-burst: preempt via a full StepCore,
 			// exactly as the next single-step iteration would have.
 			if k.StepCore(coreID) == StepIdle {
-				return steps, 0, false
+				return steps
 			}
-			return steps + 1, core.Now, false
+			return steps + 1
 		}
 	}
 }
@@ -361,6 +359,7 @@ func (k *Kernel) schedule(coreID int) bool {
 		if vi, j := k.stealVictim(coreID); vi >= 0 {
 			victim := k.runq[vi][j]
 			k.runq[vi] = append(k.runq[vi][:j], k.runq[vi][j+1:]...)
+			k.epoch++
 			q = append(q, victim)
 			k.runq[coreID] = q
 			pick = len(q) - 1

@@ -156,6 +156,7 @@ func (k *Kernel) syscall(coreID int, t *Thread, num int64) {
 		k.sleepers = append(k.sleepers, t)
 		if t.WakeAt < k.minWake {
 			k.minWake = t.WakeAt
+			k.epoch++
 		}
 
 	case SysFutexWait:

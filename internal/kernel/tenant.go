@@ -288,6 +288,7 @@ func (k *Kernel) tenantMigrate(coreID int) {
 			}
 			if dst >= 0 && dst != coreID {
 				k.runq[dst] = append(k.runq[dst], t)
+				k.epoch++
 				ts.led[tid].Migrations++
 				k.Stats.VCpuMigrations++
 				if ts.metrics != nil {

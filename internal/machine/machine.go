@@ -177,6 +177,12 @@ func (e *FaultError) DumpTrace(w io.Writer, max int) {
 	}
 }
 
+// epochCheck, when set, runs after every RunCore that left the
+// kernel's epoch unmoved, with the loop's cached next-action times and
+// sleeper deadline; tests set it to check the cache against the
+// kernel.
+var epochCheck func(m *Machine, ats []uint64, nextWake uint64)
+
 // Run executes until all threads finish, a limit is hit, or the system
 // deadlocks.
 func (m *Machine) Run(limits RunLimits) RunResult {
@@ -186,18 +192,17 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 	const never = ^uint64(0)
 	var res RunResult
 	// Cached next-action time per core (never = no runnable work). A
-	// clean RunCore burst touches nothing outside its core, so only
-	// that core's entry needs refreshing before the next pick; any
-	// kernel activity (scheduling, wakes, exits) invalidates the lot.
+	// RunCore call that leaves the kernel's epoch where it was changed
+	// nothing another core's entry, AllDone or the sleeper deadline
+	// reads, so only the stepped core's entry needs refreshing before
+	// the next pick; a moved epoch invalidates the lot.
 	ats := make([]uint64, len(m.Cores))
-	dirty := true
-	last := -1
+	rescan := true
 	// Mirror of the kernel's earliest sleeper deadline. It can change
-	// only inside kernel code (the nanosleep syscall, which dirties the
-	// pick) or when this loop wakes sleepers — both refresh it — so the
-	// two per-burst sleeper queries become compares on a local.
+	// only with the epoch or when this loop wakes sleepers — both
+	// refresh it — so the two per-burst sleeper queries become compares
+	// on a local.
 	nextWake := never
-	var lastNow uint64
 	// Limits normalized to "never" sentinels so the per-burst checks
 	// are single compares instead of enabled-and-exceeded pairs.
 	maxCyc, maxSteps := limits.MaxCycles, limits.MaxSteps
@@ -212,9 +217,9 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 			break
 		}
 
-		if dirty {
-			// Threads can only finish inside kernel code, which also
-			// sets dirty — so AllDone needs rechecking exactly here.
+		if rescan {
+			// A thread's death moves the epoch, so AllDone needs
+			// rechecking exactly here.
 			if m.Kern.AllDone() {
 				res.AllDone = true
 				break
@@ -229,12 +234,7 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 			if at, ok := m.Kern.NextSleeperWake(); ok {
 				nextWake = at
 			}
-			dirty = false
-		} else if last >= 0 {
-			// A clean burst ran no kernel code, so the thread is still
-			// current on its core and the core's next action is simply
-			// its clock, which RunCore reported on the way out.
-			ats[last] = lastNow
+			rescan = false
 		}
 
 		// Pick the causally-next core (smallest next-action time, lowest
@@ -317,7 +317,7 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 				break
 			}
 			m.Kern.WakeSleepersUpTo(nextWake)
-			dirty = true
+			rescan = true
 			continue
 		}
 
@@ -373,12 +373,33 @@ func (m *Machine) Run(limits RunLimits) RunResult {
 		if maxCyc < horizon {
 			horizon = maxCyc
 		}
+		// While the epoch stands still, the other cores' entries, the
+		// deadline and so the horizon all hold: the chosen core keeps
+		// winning the pick exactly while its next action stays below
+		// the horizon, so it runs again without a re-pick. A
+		// single-stepped run (one instruction per RunCore) pays for a
+		// pick only when the core changes or the epoch moves.
 		// maxSteps-res.Steps stays astronomically large in the unlimited
 		// case, which RunCore's step budget treats the same as no bound.
-		steps, now, clean := m.Kern.RunCore(best, horizon, maxSteps-res.Steps)
-		res.Steps += steps
-		dirty = !clean
-		last, lastNow = best, now
+		for {
+			epoch := m.Kern.Epoch()
+			res.Steps += m.Kern.RunCore(best, horizon, maxSteps-res.Steps)
+			if m.Kern.Epoch() != epoch {
+				rescan = true
+				break
+			}
+			at, ok := m.Kern.NextActionTime(best)
+			if !ok {
+				at = never
+			}
+			ats[best] = at
+			if epochCheck != nil {
+				epochCheck(m, ats, nextWake)
+			}
+			if at >= horizon || res.Steps >= maxSteps {
+				break
+			}
+		}
 	}
 
 	// Flush a final frame for any live group-holding thread so a run
